@@ -24,7 +24,6 @@ use crate::logic::Logic;
 use crate::podem::{Podem, PodemConfig, PodemOutcome};
 use faultmodel::{FaultClass, FaultList, FaultSite, StuckAt};
 use netlist::{graph, CellId, CellKind, NetId, Netlist};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Configuration of a [`StructuralAnalysis`] run.
@@ -51,7 +50,7 @@ impl Default for AnalysisConfig {
 }
 
 /// Summary statistics of one analysis run.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AnalysisOutcome {
     /// Faults examined (those still undetected on entry).
     pub examined: usize,

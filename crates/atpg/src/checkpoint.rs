@@ -26,9 +26,9 @@
 //!   caught panic is an accident of the interrupted run and is re-proven on
 //!   resume.
 //!
-//! The format is hand-rolled (the vendored serde stub has no (de)serializer,
-//! matching the BENCH reference readers): a two-line header followed by one
-//! whitespace-separated record per fault.
+//! The format is hand-rolled (the workspace has no serialization
+//! dependency): a two-line header followed by one whitespace-separated
+//! record per fault.
 //!
 //! ```text
 //! untestable-checkpoint v1
@@ -189,9 +189,12 @@ pub fn campaign_fingerprint(
     h.write_usize(constraints.max_fixpoint_iterations);
     h.write_usize(config.backtrack_limit);
     h.write_bool(config.use_collapse);
-    h.write_bool(config.cone_clip);
-    h.write_bool(config.use_scoap);
-    h.write_bool(config.use_x_path);
+    // The PODEM accelerations used to be campaign options and are now always
+    // on; hashing their constant value keeps existing checkpoints and cache
+    // keys valid.
+    h.write_bool(true); // cone clipping
+    h.write_bool(true); // SCOAP guidance
+    h.write_bool(true); // X-path check
     h.write_bool(config.use_sat);
     h.write_u64(config.sat_conflict_limit);
     h.0

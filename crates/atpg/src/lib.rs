@@ -80,8 +80,8 @@ pub use fault_sim::{FaultSim, FaultSimOutcome, InputVector};
 pub use logic::Logic;
 pub use podem::{Podem, PodemConfig, PodemOutcome, ProofOutcome, TestPattern};
 pub use proof::{
-    prove_faults, prove_faults_campaign, prove_faults_with_engines, CampaignOutcome,
-    EngineBreakdown, EngineOutcome, ProofConfig, ProofEngine, ProofStats,
+    prove_faults_campaign, CampaignOutcome, EngineBreakdown, EngineOutcome, ProofConfig,
+    ProofEngine,
 };
 pub use scoap::{compute_scoap, Scoap, SCOAP_INFINITY};
 pub use sim::{CombSim, SeqSim};

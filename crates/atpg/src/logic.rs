@@ -1,13 +1,12 @@
 //! Three-valued logic used by the simulators and the structural analyses.
 
 use netlist::CellKind;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A three-valued logic value: `0`, `1` or unknown (`X`).
 ///
 /// High-impedance is not modelled separately; floating nets evaluate to `X`.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub enum Logic {
     /// Logic zero.
     Zero,

@@ -10,12 +10,12 @@
 //! [`ProofOutcome::ProvenUntestable`]; a fault whose backtrack budget runs out
 //! is [`ProofOutcome::Aborted`] and stays potentially testable.
 //!
-//! Three multiplicative per-fault reductions keep the run fast (all on by
-//! default): the PODEM engines clip every search to the fault's fanout cone
-//! (with an incrementally maintained good machine) and steer it with SCOAP
-//! measures (see [`PodemConfig`]), and the
-//! worklist itself is *collapse-scheduled* ([`ProofConfig::use_collapse`]):
-//! structurally equivalent faults ([`faultmodel::collapse`]) share one proof
+//! Per-fault reductions keep the run fast. The PODEM engines always run
+//! with every acceleration of [`PodemConfig`] on: each search is clipped to
+//! the fault's fanout cone (with an incrementally maintained good machine),
+//! steered by SCOAP measures and pruned by the X-path check. The worklist
+//! itself is *collapse-scheduled* ([`ProofConfig::use_collapse`], on by
+//! default): structurally equivalent faults ([`faultmodel::collapse`]) share one proof
 //! attempt — the class representative is proven and a **concluded** verdict
 //! (`TestExists` / `ProvenUntestable`) expands to every member, since
 //! equivalent faults have identical faulty functions under any constraint
@@ -81,16 +81,6 @@ pub struct ProofConfig {
     /// concluded verdicts across the class (aborts never expand; their class
     /// members are proven individually instead).
     pub use_collapse: bool,
-    /// Clip every PODEM search to the fault's cones (see
-    /// [`PodemConfig::cone_clip`]).
-    pub cone_clip: bool,
-    /// Steer the PODEM searches with SCOAP testability measures (see
-    /// [`PodemConfig::scoap_guidance`]).
-    pub use_scoap: bool,
-    /// Prune hopeless branches with the X-path check (see
-    /// [`PodemConfig::x_path_check`]). Off reproduces the pre-acceleration
-    /// reference engine exactly.
-    pub use_x_path: bool,
     /// Escalate PODEM aborts to the SAT backend ([`crate::cnf`]): the
     /// cone-clipped fault machine is encoded into CNF and the CDCL core
     /// attempts the verdict the search engine gave up on. Off by default so
@@ -112,9 +102,6 @@ impl Default for ProofConfig {
             backtrack_limit: 32,
             threads: 0,
             use_collapse: true,
-            cone_clip: true,
-            use_scoap: true,
-            use_x_path: true,
             use_sat: false,
             sat_conflict_limit: 20_000,
             failure_plan: None,
@@ -123,12 +110,14 @@ impl Default for ProofConfig {
 }
 
 impl ProofConfig {
+    /// The per-fault engine configuration: the campaign's backtrack budget
+    /// with every PODEM acceleration on.
     fn podem_config(&self) -> PodemConfig {
         PodemConfig {
             backtrack_limit: self.backtrack_limit,
-            cone_clip: self.cone_clip,
-            scoap_guidance: self.use_scoap,
-            x_path_check: self.use_x_path,
+            cone_clip: true,
+            scoap_guidance: true,
+            x_path_check: true,
         }
     }
 
@@ -141,37 +130,6 @@ impl ProofConfig {
             self.threads
         };
         requested.min(fault_count.div_ceil(CHUNK)).max(1)
-    }
-}
-
-/// Tally of one proof run, derived from the per-fault outcomes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ProofStats {
-    /// Faults attempted.
-    pub attempted: usize,
-    /// Faults for which a test exists under the constraints.
-    pub test_exists: usize,
-    /// Faults proven untestable (decision space exhausted).
-    pub proven_untestable: usize,
-    /// Faults whose search ran out of backtrack budget.
-    pub aborted: usize,
-}
-
-impl ProofStats {
-    /// Tallies a slice of outcomes.
-    pub fn from_outcomes(outcomes: &[ProofOutcome]) -> Self {
-        let mut stats = ProofStats {
-            attempted: outcomes.len(),
-            ..ProofStats::default()
-        };
-        for outcome in outcomes {
-            match outcome {
-                ProofOutcome::TestExists => stats.test_exists += 1,
-                ProofOutcome::ProvenUntestable => stats.proven_untestable += 1,
-                ProofOutcome::Aborted => stats.aborted += 1,
-            }
-        }
-        stats
     }
 }
 
@@ -222,7 +180,10 @@ impl EngineOutcome {
 }
 
 /// Per-engine tally of a portfolio run: how the final verdicts split between
-/// the PODEM search and the SAT escalations.
+/// the PODEM search and the SAT escalations. A fault is attributed to the
+/// engine that produced its final verdict — PODEM when it concluded within
+/// its backtrack budget, SAT when PODEM aborted and the SAT escalation
+/// concluded (or itself ran out of conflicts).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineBreakdown {
     /// PODEM verdicts: test exists.
@@ -278,6 +239,63 @@ impl EngineBreakdown {
         }
         b
     }
+
+    /// Faults proven untestable by either engine.
+    pub fn proven_total(&self) -> usize {
+        self.podem_proven + self.sat_proven
+    }
+
+    /// Faults neither engine could conclude.
+    pub fn aborted_total(&self) -> usize {
+        self.podem_aborted + self.sat_aborted
+    }
+
+    /// Faults shown testable in mission mode by either engine.
+    pub fn test_exists_total(&self) -> usize {
+        self.podem_test_exists + self.sat_test_exists
+    }
+
+    /// Aborts attributed to a wall-clock deadline or cancellation — the
+    /// "stage deadline hit" signal callers use to pick an exit status.
+    pub fn deadline_hit(&self) -> bool {
+        self.aborted_timeout > 0
+    }
+
+    fn has_abort_reasons(&self) -> bool {
+        self.aborted_backtracks
+            + self.aborted_conflicts
+            + self.aborted_timeout
+            + self.aborted_panicked
+            + self.aborted_unsupported
+            > 0
+    }
+}
+
+impl std::fmt::Display for EngineBreakdown {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "PODEM {} proven / {} testable / {} aborted; SAT {} proven / {} testable / {} aborted",
+            self.podem_proven,
+            self.podem_test_exists,
+            self.podem_aborted,
+            self.sat_proven,
+            self.sat_test_exists,
+            self.sat_aborted
+        )?;
+        if self.has_abort_reasons() {
+            write!(
+                f,
+                "; aborts: {} backtracks / {} conflicts / {} timeout / {} panicked / {} unsupported",
+                self.aborted_backtracks,
+                self.aborted_conflicts,
+                self.aborted_timeout,
+                self.aborted_panicked,
+                self.aborted_unsupported
+            )?;
+        }
+        Ok(())
+    }
 }
 
 // Result-slot codes: 1 = TestExists, 2 = ProvenUntestable, 3..=7 = Aborted
@@ -325,283 +343,198 @@ fn decode(code: u8) -> EngineOutcome {
     }
 }
 
-/// Proves one fault on the portfolio: PODEM first, SAT escalation on abort
-/// (when enabled). The SAT engine is built lazily on the first abort so the
-/// common all-concluded path never pays for it.
-#[allow(clippy::too_many_arguments)]
-fn prove_one<'a>(
-    netlist: &'a Netlist,
-    constraints: &ConstraintSet,
-    config: &ProofConfig,
-    budget: &Budget,
-    podem: &mut Podem<'a>,
-    sat_engine: &mut Option<SatProver<'a>>,
-    index: usize,
-    fault: StuckAt,
-) -> EngineOutcome {
-    let deadline = budget.fault_deadline(Instant::now());
-    let interrupt = budget.cancel.as_ref().map(CancelToken::flag);
-    if let Some(plan) = config.failure_plan {
-        if plan.panic_on == Some(index) {
-            panic!("injected engine panic on fault index {index}");
-        }
-        if plan.stall_on == Some(index) {
-            // A simulated hang: block until a budget limit trips. With no
-            // limit configured nothing ever would, so give up immediately
-            // instead of wedging the harness.
-            if budget.cancel.is_none() && deadline.is_none() {
-                return EngineOutcome::aborted(ProofEngine::Podem, AbortReason::Timeout);
-            }
-            loop {
-                if budget.stage_stopped() || deadline.is_some_and(|d| Instant::now() >= d) {
-                    return EngineOutcome::aborted(ProofEngine::Podem, AbortReason::Timeout);
-                }
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-        }
-    }
-    podem.set_search_limits(interrupt.clone(), deadline);
-    let outcome = podem.prove(fault);
-    if outcome != ProofOutcome::Aborted {
-        return EngineOutcome::concluded(outcome, ProofEngine::Podem);
-    }
-    if podem.last_search_interrupted() {
-        // A wall-clock give-up must not escalate: the SAT attempt would blow
-        // the very deadline that stopped the search.
-        return EngineOutcome::aborted(ProofEngine::Podem, AbortReason::Timeout);
-    }
-    if !config.use_sat {
-        return EngineOutcome::aborted(ProofEngine::Podem, AbortReason::Backtracks);
-    }
-    let sat = match sat_engine {
-        Some(sat) => sat,
-        None => sat_engine.insert(
-            SatProver::new(netlist, constraints, config.sat_conflict_limit)
-                .expect("levelization already validated"),
-        ),
-    };
-    sat.set_search_limits(interrupt, deadline);
-    if config
-        .failure_plan
-        .is_some_and(|p| p.bogus_sat_model_on == Some(index))
-    {
-        sat.corrupt_next_model();
-    }
-    match sat.prove(fault) {
-        SatVerdict::TestExists => {
-            EngineOutcome::concluded(ProofOutcome::TestExists, ProofEngine::Sat)
-        }
-        SatVerdict::ProvenUntestable => {
-            EngineOutcome::concluded(ProofOutcome::ProvenUntestable, ProofEngine::Sat)
-        }
-        SatVerdict::Aborted => EngineOutcome::aborted(
-            ProofEngine::Sat,
-            sat.last_abort_reason().unwrap_or(AbortReason::Conflicts),
-        ),
-        // The encoding declined (outside its exactness preconditions): keep
-        // PODEM's abort untouched.
-        SatVerdict::Unsupported => {
-            EngineOutcome::aborted(ProofEngine::Podem, AbortReason::Unsupported)
-        }
-    }
+/// A worker's engines, each built on first use: the SAT engine only on the
+/// first abort, so the common all-concluded path never pays for it.
+#[derive(Default)]
+struct Engines<'a> {
+    podem: Option<Podem<'a>>,
+    sat: Option<SatProver<'a>>,
 }
 
-/// [`prove_one`] under per-fault panic isolation and the stage budget.
-///
-/// A stage-stopped budget short-circuits to an
-/// [`AbortReason::Timeout`] verdict; a panic inside the engines is caught,
-/// recorded as [`AbortReason::Panicked`], and the (possibly poisoned —
-/// PODEM's reusable buffers are moved out during a search) engines are
-/// dropped so the next fault rebuilds them from scratch.
-#[allow(clippy::too_many_arguments)]
-fn prove_guarded<'a>(
-    netlist: &'a Netlist,
-    constraints: &ConstraintSet,
-    config: &ProofConfig,
-    budget: &Budget,
-    podem_slot: &mut Option<Podem<'a>>,
-    sat_slot: &mut Option<SatProver<'a>>,
-    index: usize,
-    fault: StuckAt,
-) -> EngineOutcome {
-    if budget.stage_stopped() {
-        return EngineOutcome::aborted(ProofEngine::Podem, AbortReason::Timeout);
-    }
-    let podem = match podem_slot {
-        Some(podem) => podem,
-        None => podem_slot.insert(
-            Podem::new(netlist, constraints, config.podem_config())
-                .expect("levelization already validated"),
-        ),
-    };
-    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        prove_one(
-            netlist,
-            constraints,
-            config,
-            budget,
-            podem,
-            sat_slot,
-            index,
-            fault,
-        )
-    }));
-    match attempt {
-        Ok(result) => result,
-        Err(_) => {
-            *podem_slot = None;
-            *sat_slot = None;
-            EngineOutcome::aborted(ProofEngine::Podem, AbortReason::Panicked)
-        }
-    }
-}
-
-/// Proves every fault in `worklist` (indices into `faults`) with a fan-out
-/// over scoped worker threads, writing `encode`d outcomes into `results` at
-/// the worklist positions. Slots already holding a verdict (pre-seeded from
-/// a checkpoint) are skipped; freshly proven verdicts are appended to the
-/// checkpoint as they conclude. Below two resolved workers the faults are
-/// proven on `single_engine`, built lazily and kept alive across calls — the
-/// collapse schedule invokes this twice (representatives, then the members
-/// of aborted classes) and engine construction is design-sized (SCOAP,
-/// baseline propagation).
+/// One campaign's shared inputs and its per-fault result slots, which hold
+/// `encode`d verdicts and stay 0 until written.
 ///
 /// The netlist must already have been validated acyclic (the workers unwrap
 /// engine construction).
-#[allow(clippy::too_many_arguments)]
-fn prove_worklist<'a>(
+struct Campaign<'a> {
     netlist: &'a Netlist,
-    constraints: &ConstraintSet,
-    faults: &[StuckAt],
-    worklist: &[usize],
-    config: &ProofConfig,
-    budget: &Budget,
-    checkpoint: Option<&Checkpoint>,
-    results: &[AtomicU8],
-    single_engine: &mut Option<Podem<'a>>,
-    single_sat: &mut Option<SatProver<'a>>,
-) {
-    if worklist.is_empty() {
-        return;
-    }
-    let workers = config.resolve_threads(worklist.len());
-    if workers <= 1 {
-        for &i in worklist {
-            if results[i].load(Ordering::Relaxed) != 0 {
-                continue;
+    constraints: &'a ConstraintSet,
+    faults: &'a [StuckAt],
+    config: &'a ProofConfig,
+    budget: &'a Budget,
+    checkpoint: Option<&'a Checkpoint>,
+    results: Vec<AtomicU8>,
+}
+
+impl<'a> Campaign<'a> {
+    /// Proves fault `index` on the portfolio: PODEM first, SAT escalation on
+    /// abort (when enabled).
+    fn prove_one(
+        &self,
+        podem: &mut Podem<'a>,
+        sat_engine: &mut Option<SatProver<'a>>,
+        index: usize,
+    ) -> EngineOutcome {
+        let (config, budget) = (self.config, self.budget);
+        let deadline = budget.fault_deadline(Instant::now());
+        let interrupt = budget.cancel.as_ref().map(CancelToken::flag);
+        if let Some(plan) = config.failure_plan {
+            if plan.panic_on == Some(index) {
+                panic!("injected engine panic on fault index {index}");
             }
-            let r = prove_guarded(
-                netlist,
-                constraints,
-                config,
-                budget,
-                single_engine,
-                single_sat,
-                i,
-                faults[i],
-            );
-            results[i].store(encode(r), Ordering::Relaxed);
-            if let Some(cp) = checkpoint {
-                cp.record(faults[i], r);
-            }
-        }
-        return;
-    }
-    let cursor = AtomicUsize::new(0);
-    let chunks = worklist.len().div_ceil(CHUNK);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut podem_slot: Option<Podem<'a>> = None;
-                let mut sat_engine: Option<SatProver<'a>> = None;
-                loop {
-                    let chunk = cursor.fetch_add(1, Ordering::Relaxed);
-                    if chunk >= chunks {
-                        break;
-                    }
-                    let start = chunk * CHUNK;
-                    let end = (start + CHUNK).min(worklist.len());
-                    for &i in &worklist[start..end] {
-                        if results[i].load(Ordering::Relaxed) != 0 {
-                            continue;
-                        }
-                        let r = prove_guarded(
-                            netlist,
-                            constraints,
-                            config,
-                            budget,
-                            &mut podem_slot,
-                            &mut sat_engine,
-                            i,
-                            faults[i],
-                        );
-                        results[i].store(encode(r), Ordering::Relaxed);
-                        if let Some(cp) = checkpoint {
-                            cp.record(faults[i], r);
-                        }
-                    }
+            if plan.stall_on == Some(index) {
+                // A simulated hang: block until a budget limit trips. With no
+                // limit configured nothing ever would, so give up immediately
+                // instead of wedging the harness.
+                if budget.cancel.is_none() && deadline.is_none() {
+                    return EngineOutcome::aborted(ProofEngine::Podem, AbortReason::Timeout);
                 }
-            });
+                loop {
+                    if budget.stage_stopped() || deadline.is_some_and(|d| Instant::now() >= d) {
+                        return EngineOutcome::aborted(ProofEngine::Podem, AbortReason::Timeout);
+                    }
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+            }
         }
-    });
-}
+        podem.set_search_limits(interrupt.clone(), deadline);
+        let fault = self.faults[index];
+        let outcome = podem.prove(fault);
+        if outcome != ProofOutcome::Aborted {
+            return EngineOutcome::concluded(outcome, ProofEngine::Podem);
+        }
+        if podem.last_search_interrupted() {
+            // A wall-clock give-up must not escalate: the SAT attempt would
+            // blow the very deadline that stopped the search.
+            return EngineOutcome::aborted(ProofEngine::Podem, AbortReason::Timeout);
+        }
+        if !config.use_sat {
+            return EngineOutcome::aborted(ProofEngine::Podem, AbortReason::Backtracks);
+        }
+        let sat = sat_engine.get_or_insert_with(|| {
+            SatProver::new(self.netlist, self.constraints, config.sat_conflict_limit)
+                .expect("levelization already validated")
+        });
+        sat.set_search_limits(interrupt, deadline);
+        if config
+            .failure_plan
+            .is_some_and(|p| p.bogus_sat_model_on == Some(index))
+        {
+            sat.corrupt_next_model();
+        }
+        match sat.prove(fault) {
+            SatVerdict::TestExists => {
+                EngineOutcome::concluded(ProofOutcome::TestExists, ProofEngine::Sat)
+            }
+            SatVerdict::ProvenUntestable => {
+                EngineOutcome::concluded(ProofOutcome::ProvenUntestable, ProofEngine::Sat)
+            }
+            SatVerdict::Aborted => EngineOutcome::aborted(
+                ProofEngine::Sat,
+                sat.last_abort_reason().unwrap_or(AbortReason::Conflicts),
+            ),
+            // The encoding declined (outside its exactness preconditions):
+            // keep PODEM's abort untouched.
+            SatVerdict::Unsupported => {
+                EngineOutcome::aborted(ProofEngine::Podem, AbortReason::Unsupported)
+            }
+        }
+    }
 
-/// Proves (or fails to prove) untestability for every fault in `faults` under
-/// `constraints`, returning one [`ProofOutcome`] per fault in input order.
-///
-/// With [`ProofConfig::use_collapse`] the worklist is collapse-scheduled:
-/// one representative per structural equivalence class is proven (the class's
-/// first fault in input order), concluded verdicts expand to the rest of the
-/// class, and members of classes whose representative *aborted* are proven
-/// individually in a second pass — an abort never expands.
-///
-/// The faults are fanned out across scoped worker threads according to
-/// `config.threads`; per-fault outcomes do not depend on the fan-out, so any
-/// thread count produces the same vector.
-///
-/// # Errors
-///
-/// Returns the levelization error if the combinational logic is cyclic.
-pub fn prove_faults(
-    netlist: &Netlist,
-    constraints: &ConstraintSet,
-    faults: &[StuckAt],
-    config: &ProofConfig,
-) -> Result<Vec<ProofOutcome>, graph::CombinationalLoop> {
-    Ok(
-        prove_faults_with_engines(netlist, constraints, faults, config)?
+    /// [`prove_one`](Self::prove_one) under per-fault panic isolation and
+    /// the stage budget.
+    ///
+    /// A stage-stopped budget short-circuits to an
+    /// [`AbortReason::Timeout`] verdict; a panic inside the engines is
+    /// caught, recorded as [`AbortReason::Panicked`], and the (possibly
+    /// poisoned — PODEM's reusable buffers are moved out during a search)
+    /// engines are dropped so the next fault rebuilds them from scratch.
+    fn prove_guarded(&self, engines: &mut Engines<'a>, index: usize) -> EngineOutcome {
+        if self.budget.stage_stopped() {
+            return EngineOutcome::aborted(ProofEngine::Podem, AbortReason::Timeout);
+        }
+        let podem = engines.podem.get_or_insert_with(|| {
+            Podem::new(self.netlist, self.constraints, self.config.podem_config())
+                .expect("levelization already validated")
+        });
+        let sat = &mut engines.sat;
+        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.prove_one(podem, sat, index)
+        }));
+        attempt.unwrap_or_else(|_| {
+            *engines = Engines::default();
+            EngineOutcome::aborted(ProofEngine::Podem, AbortReason::Panicked)
+        })
+    }
+
+    /// Proves fault `index` unless its slot already holds a verdict
+    /// (pre-seeded from a checkpoint), and appends a fresh verdict to the
+    /// checkpoint.
+    fn prove_slot(&self, engines: &mut Engines<'a>, index: usize) {
+        if self.results[index].load(Ordering::Relaxed) != 0 {
+            return;
+        }
+        let r = self.prove_guarded(engines, index);
+        self.results[index].store(encode(r), Ordering::Relaxed);
+        if let Some(cp) = self.checkpoint {
+            cp.record(self.faults[index], r);
+        }
+    }
+
+    /// Proves every fault in `worklist` (indices into the fault list) with a
+    /// fan-out over scoped worker threads. Below two resolved workers the
+    /// faults are proven on `single`, kept alive across calls — the collapse
+    /// schedule invokes this twice (representatives, then the members of
+    /// aborted classes) and engine construction is design-sized (SCOAP,
+    /// baseline propagation).
+    fn prove_worklist(&self, worklist: &[usize], single: &mut Engines<'a>) {
+        if worklist.is_empty() {
+            return;
+        }
+        let workers = self.config.resolve_threads(worklist.len());
+        if workers <= 1 {
+            for &i in worklist {
+                self.prove_slot(single, i);
+            }
+            return;
+        }
+        let cursor = AtomicUsize::new(0);
+        let chunks = worklist.len().div_ceil(CHUNK);
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| {
+                    let mut engines = Engines::default();
+                    loop {
+                        let chunk = cursor.fetch_add(1, Ordering::Relaxed);
+                        if chunk >= chunks {
+                            break;
+                        }
+                        let start = chunk * CHUNK;
+                        let end = (start + CHUNK).min(worklist.len());
+                        for &i in &worklist[start..end] {
+                            self.prove_slot(&mut engines, i);
+                        }
+                    }
+                });
+            }
+        });
+    }
+
+    /// Decodes the filled result slots and surfaces any deferred checkpoint
+    /// write error.
+    fn finish(self, from_checkpoint: usize) -> Result<CampaignOutcome, CampaignError> {
+        if let Some(cp) = self.checkpoint {
+            cp.sync()?;
+        }
+        let outcomes = self
+            .results
             .into_iter()
-            .map(|r| r.outcome)
-            .collect(),
-    )
-}
-
-/// [`prove_faults`], keeping the engine attribution of every verdict — the
-/// form the identification flow uses to report the PODEM/SAT portfolio
-/// breakdown.
-///
-/// # Errors
-///
-/// Returns the levelization error if the combinational logic is cyclic.
-pub fn prove_faults_with_engines(
-    netlist: &Netlist,
-    constraints: &ConstraintSet,
-    faults: &[StuckAt],
-    config: &ProofConfig,
-) -> Result<Vec<EngineOutcome>, graph::CombinationalLoop> {
-    match prove_faults_campaign(
-        netlist,
-        constraints,
-        faults,
-        config,
-        &Budget::unlimited(),
-        None,
-    ) {
-        Ok(campaign) => Ok(campaign.outcomes),
-        Err(CampaignError::Cyclic(e)) => Err(e),
-        Err(CampaignError::Checkpoint(e)) => {
-            unreachable!("no checkpoint was passed, yet one errored: {e}")
-        }
+            .map(|c| decode(c.into_inner()))
+            .collect();
+        Ok(CampaignOutcome {
+            outcomes,
+            from_checkpoint,
+        })
     }
 }
 
@@ -639,15 +572,25 @@ pub struct CampaignOutcome {
     /// Faults whose verdict was replayed from the checkpoint instead of
     /// being proven by this run.
     pub from_checkpoint: usize,
-    /// Whether any fault came back [`AbortReason::Timeout`] — the stage
-    /// deadline, a per-fault limit, or a cancellation left work unresolved.
-    pub deadline_hit: bool,
 }
 
-/// [`prove_faults_with_engines`] with the campaign-survivability layer: a
-/// cooperative [`Budget`] (cancel token, stage deadline, per-fault limit),
-/// per-fault panic isolation, and an optional incremental
-/// [`Checkpoint`].
+/// Proves (or fails to prove) untestability for every fault in `faults` under
+/// `constraints` — the one proof-campaign entry point. Returns one
+/// engine-tagged verdict per fault, in input order.
+///
+/// With [`ProofConfig::use_collapse`] the worklist is collapse-scheduled:
+/// one representative per structural equivalence class is proven (the class's
+/// first fault in input order), concluded verdicts expand to the rest of the
+/// class, and members of classes whose representative *aborted* are proven
+/// individually in a second pass — an abort never expands. The faults are
+/// fanned out across scoped worker threads according to `config.threads`;
+/// per-fault outcomes do not depend on the fan-out, so any thread count
+/// produces the same vector.
+///
+/// The campaign-survivability layer wraps every proof: a cooperative
+/// [`Budget`] (cancel token, stage deadline, per-fault limit), per-fault
+/// panic isolation, and an optional incremental [`Checkpoint`]. A caller that
+/// needs none of it passes `&Budget::unlimited(), None`.
 ///
 /// Checkpointed verdicts are pre-seeded into the result slots before
 /// scheduling and the collapse classes are computed over the full
@@ -678,38 +621,32 @@ pub fn prove_faults_campaign(
         return Ok(CampaignOutcome {
             outcomes: Vec::new(),
             from_checkpoint: 0,
-            deadline_hit: false,
         });
     }
-    let results: Vec<AtomicU8> = (0..faults.len()).map(|_| AtomicU8::new(0)).collect();
+    let campaign = Campaign {
+        netlist,
+        constraints,
+        faults,
+        config,
+        budget,
+        checkpoint,
+        results: (0..faults.len()).map(|_| AtomicU8::new(0)).collect(),
+    };
     let mut from_checkpoint = 0usize;
     if let Some(cp) = checkpoint {
         for (i, &fault) in faults.iter().enumerate() {
             if let Some(r) = cp.concluded(fault) {
-                results[i].store(encode(r), Ordering::Relaxed);
+                campaign.results[i].store(encode(r), Ordering::Relaxed);
                 from_checkpoint += 1;
             }
         }
     }
 
-    let mut single_engine: Option<Podem<'_>> = None;
-    let mut single_sat: Option<SatProver<'_>> = None;
-
+    let mut single = Engines::default();
     if !config.use_collapse {
         let worklist: Vec<usize> = (0..faults.len()).collect();
-        prove_worklist(
-            netlist,
-            constraints,
-            faults,
-            &worklist,
-            config,
-            budget,
-            checkpoint,
-            &results,
-            &mut single_engine,
-            &mut single_sat,
-        );
-        return finish_campaign(results, from_checkpoint, checkpoint);
+        campaign.prove_worklist(&worklist, &mut single);
+        return campaign.finish(from_checkpoint);
     }
 
     // Collapse-schedule: group the population by structural equivalence
@@ -744,18 +681,7 @@ pub fn prove_faults_campaign(
             provers.push(i);
         }
     }
-    prove_worklist(
-        netlist,
-        constraints,
-        faults,
-        &provers,
-        config,
-        budget,
-        checkpoint,
-        &results,
-        &mut single_engine,
-        &mut single_sat,
-    );
+    campaign.prove_worklist(&provers, &mut single);
 
     // Expansion: concluded class verdicts cover every member (with the
     // representative's engine — that proof is what covers them); members of
@@ -767,51 +693,15 @@ pub fn prove_faults_campaign(
         if prover == i {
             continue;
         }
-        let representative = decode(results[prover].load(Ordering::Relaxed));
+        let representative = decode(campaign.results[prover].load(Ordering::Relaxed));
         if representative.outcome == ProofOutcome::Aborted {
             second_pass.push(i);
-        } else if results[i].load(Ordering::Relaxed) == 0 {
-            results[i].store(encode(representative), Ordering::Relaxed);
+        } else if campaign.results[i].load(Ordering::Relaxed) == 0 {
+            campaign.results[i].store(encode(representative), Ordering::Relaxed);
         }
     }
-    prove_worklist(
-        netlist,
-        constraints,
-        faults,
-        &second_pass,
-        config,
-        budget,
-        checkpoint,
-        &results,
-        &mut single_engine,
-        &mut single_sat,
-    );
-
-    finish_campaign(results, from_checkpoint, checkpoint)
-}
-
-/// Decodes the filled result slots, surfaces any deferred checkpoint write
-/// error, and derives the deadline-hit flag.
-fn finish_campaign(
-    results: Vec<AtomicU8>,
-    from_checkpoint: usize,
-    checkpoint: Option<&Checkpoint>,
-) -> Result<CampaignOutcome, CampaignError> {
-    if let Some(cp) = checkpoint {
-        cp.sync()?;
-    }
-    let outcomes: Vec<EngineOutcome> = results
-        .into_iter()
-        .map(|c| decode(c.into_inner()))
-        .collect();
-    let deadline_hit = outcomes
-        .iter()
-        .any(|o| o.reason == Some(AbortReason::Timeout));
-    Ok(CampaignOutcome {
-        outcomes,
-        from_checkpoint,
-        deadline_hit,
-    })
+    campaign.prove_worklist(&second_pass, &mut single);
+    campaign.finish(from_checkpoint)
 }
 
 #[cfg(test)]
@@ -819,6 +709,32 @@ mod tests {
     use super::*;
     use faultmodel::{collapse, FaultList};
     use netlist::NetlistBuilder;
+
+    /// The engine-tagged verdicts of one unbudgeted, checkpoint-free
+    /// campaign.
+    fn tagged(
+        n: &Netlist,
+        constraints: &ConstraintSet,
+        faults: &[StuckAt],
+        config: &ProofConfig,
+    ) -> Vec<EngineOutcome> {
+        prove_faults_campaign(n, constraints, faults, config, &Budget::unlimited(), None)
+            .unwrap()
+            .outcomes
+    }
+
+    /// [`tagged`] without the engine attribution.
+    fn verdicts(
+        n: &Netlist,
+        constraints: &ConstraintSet,
+        faults: &[StuckAt],
+        config: &ProofConfig,
+    ) -> Vec<ProofOutcome> {
+        tagged(n, constraints, faults, config)
+            .into_iter()
+            .map(|o| o.outcome)
+            .collect()
+    }
 
     fn redundant_design() -> netlist::Netlist {
         // Three parallel copies of the classic redundant AND-OR structure so
@@ -839,7 +755,7 @@ mod tests {
         let n = redundant_design();
         let faults = FaultList::full_universe(&n).faults().to_vec();
         let constraints = ConstraintSet::full_scan();
-        let single = prove_faults(
+        let single = tagged(
             &n,
             &constraints,
             &faults,
@@ -847,9 +763,8 @@ mod tests {
                 threads: 1,
                 ..ProofConfig::default()
             },
-        )
-        .unwrap();
-        let parallel = prove_faults(
+        );
+        let parallel = tagged(
             &n,
             &constraints,
             &faults,
@@ -857,18 +772,17 @@ mod tests {
                 threads: 4,
                 ..ProofConfig::default()
             },
-        )
-        .unwrap();
+        );
         assert_eq!(single, parallel);
-        let stats = ProofStats::from_outcomes(&single);
-        assert_eq!(stats.attempted, faults.len());
+        let stats = EngineBreakdown::from_outcomes(&single);
+        assert_eq!(single.len(), faults.len());
         assert_eq!(
-            stats.test_exists + stats.proven_untestable + stats.aborted,
-            stats.attempted
+            stats.test_exists_total() + stats.proven_total() + stats.aborted_total(),
+            faults.len()
         );
         // The three redundant AND-output s-a-0 faults are proven.
-        assert!(stats.proven_untestable >= 3, "{stats:?}");
-        assert!(stats.test_exists > 0);
+        assert!(stats.proven_total() >= 3, "{stats:?}");
+        assert!(stats.test_exists_total() > 0);
     }
 
     #[test]
@@ -885,7 +799,7 @@ mod tests {
             threads: 3,
             ..ProofConfig::default()
         };
-        let parallel = prove_faults(&n, &constraints, &faults, &config).unwrap();
+        let parallel = verdicts(&n, &constraints, &faults, &config);
         let mut podem = Podem::new(&n, &constraints, config.podem_config()).unwrap();
         for (i, &fault) in faults.iter().enumerate() {
             assert_eq!(parallel[i], podem.prove(fault), "{fault:?}");
@@ -906,7 +820,7 @@ mod tests {
         let mut constraints = ConstraintSet::full_scan();
         constraints.tie_net(a, false);
         let faults = vec![StuckAt::output(and, false), StuckAt::output(and, true)];
-        let outcomes = prove_faults(&n, &constraints, &faults, &ProofConfig::default()).unwrap();
+        let outcomes = verdicts(&n, &constraints, &faults, &ProofConfig::default());
         assert_eq!(outcomes[0], ProofOutcome::ProvenUntestable);
         assert_eq!(outcomes[1], ProofOutcome::TestExists);
     }
@@ -914,13 +828,12 @@ mod tests {
     #[test]
     fn empty_fault_list_is_fine_and_cyclic_designs_error() {
         let n = redundant_design();
-        let outcomes = prove_faults(
+        let outcomes = verdicts(
             &n,
             &ConstraintSet::full_scan(),
             &[],
             &ProofConfig::default(),
-        )
-        .unwrap();
+        );
         assert!(outcomes.is_empty());
     }
 
@@ -960,7 +873,7 @@ mod tests {
         let n = redundant_design();
         let faults = FaultList::full_universe(&n).faults().to_vec();
         let constraints = ConstraintSet::full_scan();
-        let scheduled = prove_faults(
+        let scheduled = verdicts(
             &n,
             &constraints,
             &faults,
@@ -970,9 +883,8 @@ mod tests {
                 use_collapse: true,
                 ..ProofConfig::default()
             },
-        )
-        .unwrap();
-        let individual = prove_faults(
+        );
+        let individual = verdicts(
             &n,
             &constraints,
             &faults,
@@ -982,8 +894,7 @@ mod tests {
                 use_collapse: false,
                 ..ProofConfig::default()
             },
-        )
-        .unwrap();
+        );
         assert_eq!(scheduled, individual);
         // The design collapses (AND/OR input faults merge with output
         // faults), so the schedule really did expand verdicts.
@@ -1006,7 +917,7 @@ mod tests {
             use_collapse: true,
             ..ProofConfig::default()
         };
-        let scheduled = prove_faults(&n, &constraints, &faults, &config).unwrap();
+        let scheduled = verdicts(&n, &constraints, &faults, &config);
         let mut podem = Podem::new(&n, &constraints, config.podem_config()).unwrap();
         let solo: Vec<ProofOutcome> = faults.iter().map(|&f| podem.prove(f)).collect();
         assert!(
@@ -1060,7 +971,7 @@ mod tests {
         let branch = StuckAt::input(po, 0, true);
         let faults = vec![stem, branch];
         for use_collapse in [false, true] {
-            let outcomes = prove_faults(
+            let outcomes = verdicts(
                 &n,
                 &constraints,
                 &faults,
@@ -1070,8 +981,7 @@ mod tests {
                     use_collapse,
                     ..ProofConfig::default()
                 },
-            )
-            .unwrap();
+            );
             assert_eq!(
                 outcomes[0],
                 ProofOutcome::ProvenUntestable,
@@ -1125,7 +1035,7 @@ mod tests {
             ProofOutcome::TestExists,
         ];
         for use_collapse in [false, true] {
-            let outcomes = prove_faults(
+            let outcomes = verdicts(
                 &n,
                 &constraints,
                 &faults,
@@ -1135,8 +1045,7 @@ mod tests {
                     use_collapse,
                     ..ProofConfig::default()
                 },
-            )
-            .unwrap();
+            );
             assert_eq!(outcomes, expected, "use_collapse={use_collapse}");
         }
     }
@@ -1150,7 +1059,7 @@ mod tests {
         let n = redundant_design();
         let faults = FaultList::full_universe(&n).faults().to_vec();
         let constraints = ConstraintSet::full_scan();
-        let portfolio = prove_faults_with_engines(
+        let portfolio = tagged(
             &n,
             &constraints,
             &faults,
@@ -1160,9 +1069,8 @@ mod tests {
                 use_sat: true,
                 ..ProofConfig::default()
             },
-        )
-        .unwrap();
-        let exhaustive = prove_faults(
+        );
+        let exhaustive = verdicts(
             &n,
             &constraints,
             &faults,
@@ -1171,8 +1079,7 @@ mod tests {
                 threads: 1,
                 ..ProofConfig::default()
             },
-        )
-        .unwrap();
+        );
         let mut sat_proofs = 0;
         for (i, (tagged, &expected)) in portfolio.iter().zip(&exhaustive).enumerate() {
             assert_eq!(tagged.outcome, expected, "fault {:?}", faults[i]);
@@ -1207,7 +1114,7 @@ mod tests {
         let and = n.driver_of(t).unwrap();
         let faults = vec![StuckAt::output(and, false)];
         let constraints = ConstraintSet::full_scan();
-        let starved = prove_faults_with_engines(
+        let starved = tagged(
             &n,
             &constraints,
             &faults,
@@ -1218,13 +1125,12 @@ mod tests {
                 sat_conflict_limit: 0,
                 ..ProofConfig::default()
             },
-        )
-        .unwrap();
+        );
         assert_eq!(
             starved[0],
             EngineOutcome::aborted(ProofEngine::Sat, AbortReason::Conflicts)
         );
-        let funded = prove_faults_with_engines(
+        let funded = tagged(
             &n,
             &constraints,
             &faults,
@@ -1234,14 +1140,13 @@ mod tests {
                 use_sat: true,
                 ..ProofConfig::default()
             },
-        )
-        .unwrap();
+        );
         assert_eq!(
             funded[0],
             EngineOutcome::concluded(ProofOutcome::ProvenUntestable, ProofEngine::Sat)
         );
         // When PODEM concludes on its own, SAT is never consulted.
-        let podem_first = prove_faults_with_engines(
+        let podem_first = tagged(
             &n,
             &constraints,
             &faults,
@@ -1251,8 +1156,7 @@ mod tests {
                 use_sat: true,
                 ..ProofConfig::default()
             },
-        )
-        .unwrap();
+        );
         assert_eq!(
             podem_first[0],
             EngineOutcome::concluded(ProofOutcome::ProvenUntestable, ProofEngine::Podem)
@@ -1270,8 +1174,8 @@ mod tests {
             use_sat: true,
             ..ProofConfig::default()
         };
-        let single = prove_faults_with_engines(&n, &constraints, &faults, &config(1)).unwrap();
-        let parallel = prove_faults_with_engines(&n, &constraints, &faults, &config(4)).unwrap();
+        let single = tagged(&n, &constraints, &faults, &config(1));
+        let parallel = tagged(&n, &constraints, &faults, &config(4));
         assert_eq!(single, parallel);
     }
 
@@ -1279,7 +1183,7 @@ mod tests {
     fn zero_budget_aborts_are_never_upgraded() {
         let n = redundant_design();
         let faults = FaultList::full_universe(&n).faults().to_vec();
-        let outcomes = prove_faults(
+        let outcomes = verdicts(
             &n,
             &ConstraintSet::full_scan(),
             &faults,
@@ -1288,13 +1192,15 @@ mod tests {
                 threads: 2,
                 ..ProofConfig::default()
             },
-        )
-        .unwrap();
-        let stats = ProofStats::from_outcomes(&outcomes);
+        );
         // The three redundant AND-output s-a-0 faults need backtracking to be
         // proven; with no budget they must come back aborted, never proven.
-        assert!(stats.aborted >= 3, "{stats:?}");
-        let generous = prove_faults(
+        let aborted = outcomes
+            .iter()
+            .filter(|&&o| o == ProofOutcome::Aborted)
+            .count();
+        assert!(aborted >= 3, "{outcomes:?}");
+        let generous = verdicts(
             &n,
             &ConstraintSet::full_scan(),
             &faults,
@@ -1303,8 +1209,7 @@ mod tests {
                 threads: 1,
                 ..ProofConfig::default()
             },
-        )
-        .unwrap();
+        );
         for (i, (&tight, &loose)) in outcomes.iter().zip(&generous).enumerate() {
             // A truncated search may abort, but whenever it does conclude it
             // must agree with the exhaustive search.

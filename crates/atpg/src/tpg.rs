@@ -9,7 +9,6 @@ use faultmodel::{FaultClass, FaultList};
 use netlist::{graph, NetId, Netlist};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a test-generation campaign.
 #[derive(Clone, Debug)]
@@ -39,7 +38,7 @@ impl Default for TpgConfig {
 }
 
 /// Result of a test-generation campaign.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct TpgOutcome {
     /// Faults targeted (undetected and not untestable on entry).
     pub targeted: usize,

@@ -5,16 +5,38 @@
 //! proof backend agrees with unlimited-budget PODEM and with exhaustive
 //! enumeration under random mission constraints.
 
-use atpg::proof::{prove_faults, ProofConfig};
+use atpg::proof::{prove_faults_campaign, ProofConfig};
 use atpg::{
-    analysis::StructuralAnalysis, constant::propagate_constants, CombSim, ConstraintSet, FaultSim,
-    InputVector, Logic, Podem, PodemConfig, PodemOutcome, ProofOutcome, SatProver, SatVerdict,
-    SeqSim,
+    analysis::StructuralAnalysis, constant::propagate_constants, Budget, CombSim, ConstraintSet,
+    FaultSim, InputVector, Logic, Podem, PodemConfig, PodemOutcome, ProofOutcome, SatProver,
+    SatVerdict, SeqSim,
 };
 use faultmodel::{collapse, FaultClass, FaultList, StuckAt};
 use netlist::{NetId, Netlist, NetlistBuilder};
 use proptest::prelude::*;
 use std::collections::HashMap;
+
+/// The verdicts of one unbudgeted, checkpoint-free proof campaign.
+fn prove_faults(
+    netlist: &Netlist,
+    constraints: &ConstraintSet,
+    faults: &[StuckAt],
+    config: &ProofConfig,
+) -> Vec<ProofOutcome> {
+    prove_faults_campaign(
+        netlist,
+        constraints,
+        faults,
+        config,
+        &Budget::unlimited(),
+        None,
+    )
+    .unwrap()
+    .outcomes
+    .into_iter()
+    .map(|o| o.outcome)
+    .collect()
+}
 
 /// Builds a small combinational circuit whose shape is driven by `spec`:
 /// each entry adds a gate over two pseudo-randomly chosen existing signals.
@@ -351,8 +373,7 @@ proptest! {
             &constraints,
             &faults,
             &ProofConfig { backtrack_limit: 10_000, threads: 1, ..ProofConfig::default() },
-        )
-        .unwrap();
+        );
         let proven: Vec<StuckAt> = faults
             .iter()
             .zip(&outcomes)
@@ -572,8 +593,7 @@ proptest! {
                 use_collapse: true,
                 ..ProofConfig::default()
             },
-        )
-        .unwrap();
+        );
         let individual = prove_faults(
             &netlist,
             &constraints,
@@ -584,8 +604,7 @@ proptest! {
                 use_collapse: false,
                 ..ProofConfig::default()
             },
-        )
-        .unwrap();
+        );
         prop_assert_eq!(scheduled, individual);
     }
 
@@ -729,8 +748,7 @@ fn proof_fanout_chunk_boundaries_match_per_fault_proofs() {
                     threads,
                     ..ProofConfig::default()
                 },
-            )
-            .unwrap();
+            );
             assert_eq!(
                 got,
                 reference[..count],

@@ -7,7 +7,8 @@
 
 use atpg::{
     campaign_fingerprint, prove_faults_campaign, AbortReason, Budget, CancelToken, Checkpoint,
-    ConstraintSet, FailurePlan, ProofConfig, ProofEngine, ProofOutcome, SatProver, SatVerdict,
+    ConstraintSet, EngineBreakdown, FailurePlan, ProofConfig, ProofEngine, ProofOutcome, SatProver,
+    SatVerdict,
 };
 use faultmodel::{FaultList, StuckAt};
 use netlist::{NetId, Netlist, NetlistBuilder};
@@ -142,7 +143,7 @@ fn injected_stall_is_cut_by_the_stage_deadline() {
         prove_faults_campaign(&netlist, &constraints, &faults, &config, &budget, None).unwrap();
     assert_eq!(campaign.outcomes[0].outcome, ProofOutcome::Aborted);
     assert_eq!(campaign.outcomes[0].reason, Some(AbortReason::Timeout));
-    assert!(campaign.deadline_hit);
+    assert!(EngineBreakdown::from_outcomes(&campaign.outcomes).deadline_hit());
     // The stall consumed the whole stage budget, so everything after it is a
     // timeout abort too — and never a fabricated proof.
     for outcome in &campaign.outcomes[1..] {
@@ -242,7 +243,7 @@ fn pre_cancelled_token_aborts_the_whole_campaign_as_timeouts() {
         None,
     )
     .unwrap();
-    assert!(campaign.deadline_hit);
+    assert!(EngineBreakdown::from_outcomes(&campaign.outcomes).deadline_hit());
     for outcome in &campaign.outcomes {
         assert_eq!(outcome.outcome, ProofOutcome::Aborted);
         assert_eq!(outcome.reason, Some(AbortReason::Timeout));
@@ -275,7 +276,7 @@ fn interrupted_campaign_resumes_bit_identical_from_checkpoint() {
         None,
     )
     .unwrap();
-    assert!(!reference.deadline_hit);
+    assert!(!EngineBreakdown::from_outcomes(&reference.outcomes).deadline_hit());
 
     let path = TempCheckpoint::new("interrupt-resume");
     let fingerprint = campaign_fingerprint(&netlist, &constraints, &config);
@@ -309,7 +310,7 @@ fn interrupted_campaign_resumes_bit_identical_from_checkpoint() {
         .unwrap()
     };
     canceller.join().unwrap();
-    assert!(interrupted.deadline_hit);
+    assert!(EngineBreakdown::from_outcomes(&interrupted.outcomes).deadline_hit());
     assert_eq!(
         interrupted.outcomes[stall_at].reason,
         Some(AbortReason::Timeout)
@@ -371,7 +372,7 @@ fn interrupted_campaign_resumes_bit_identical_from_checkpoint() {
             "fault {i} abort reason diverged"
         );
     }
-    assert!(!resumed.deadline_hit);
+    assert!(!EngineBreakdown::from_outcomes(&resumed.outcomes).deadline_hit());
 }
 
 /// Resume also replays the collapse schedule: with collapsing on, a resumed
@@ -467,7 +468,7 @@ fn fault_timeout_bounds_each_fault_but_not_the_campaign() {
     )
     .unwrap();
     assert_eq!(unbounded.outcomes, bounded.outcomes);
-    assert!(!bounded.deadline_hit);
+    assert!(!EngineBreakdown::from_outcomes(&bounded.outcomes).deadline_hit());
     // Engine attribution sanity: the portfolio produced real work.
     assert!(bounded
         .outcomes

@@ -18,14 +18,11 @@
 //! editing the JSON files.
 
 use bench::{
-    industrial_soc, quick_pipeline_config, read_committed_f64, replay_faultsim_campaign, small_soc,
+    committed_number, industrial_soc, quick_pipeline_config, replay_faultsim_campaign, small_soc,
     FAULTSIM_SAMPLE, FAULTSIM_SEED,
 };
 use online_untestable::flow::IdentificationFlow;
 use std::time::Instant;
-
-/// Gate threshold used when `BENCH_flow.json` does not record one.
-const DEFAULT_REGRESSION_FACTOR: f64 = 2.0;
 
 struct Gate {
     name: &'static str,
@@ -39,22 +36,12 @@ impl Gate {
     }
 }
 
-fn read_reference(path: &str, section: &str, key: &str) -> f64 {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read committed numbers from {path}: {e}"));
-    read_committed_f64(&text, section, key)
-        .unwrap_or_else(|| panic!("{path} does not record {section}.{key}"))
+fn read_reference(section: &str, key: &str) -> f64 {
+    committed_number(section, key).unwrap_or_else(|e| panic!("{e}"))
 }
 
 fn main() {
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let faultsim_json = format!("{root}/BENCH_faultsim.json");
-    let flow_json = format!("{root}/BENCH_flow.json");
-
-    let factor = std::fs::read_to_string(&flow_json)
-        .ok()
-        .and_then(|text| read_committed_f64(&text, "perf_smoke", "regression_factor"))
-        .unwrap_or(DEFAULT_REGRESSION_FACTOR);
+    let factor = read_reference("perf_smoke", "regression_factor");
 
     println!("perf-smoke gate (fail when measured > {factor:.1}x committed)");
     println!();
@@ -71,7 +58,7 @@ fn main() {
         campaign.detected,
         campaign.wall_clock.as_secs_f64()
     );
-    let committed_detected = read_reference(&faultsim_json, "workload", "faults_detected") as usize;
+    let committed_detected = read_reference("workload", "faults_detected") as usize;
     if campaign.detected != committed_detected {
         eprintln!(
             "perf-smoke gate failed: the campaign detected {} faults but BENCH_faultsim.json \
@@ -83,7 +70,7 @@ fn main() {
     }
     let gate_faultsim = Gate {
         name: "fault_sim_throughput",
-        committed_s: read_reference(&faultsim_json, "post", "campaign_wall_clock_s"),
+        committed_s: read_reference("post", "campaign_wall_clock_s"),
         measured_s: campaign.wall_clock.as_secs_f64(),
     };
 
@@ -98,7 +85,7 @@ fn main() {
         report.total_untestable(),
         flow_elapsed.as_secs_f64()
     );
-    let committed_untestable = read_reference(&flow_json, "workload", "untestable_total") as usize;
+    let committed_untestable = read_reference("workload", "untestable_total") as usize;
     if report.total_untestable() != committed_untestable {
         eprintln!(
             "perf-smoke gate failed: the pipeline classified {} faults untestable but \
@@ -110,7 +97,7 @@ fn main() {
     }
     let gate_flow = Gate {
         name: "flow_pipeline",
-        committed_s: read_reference(&flow_json, "measured", "flow_wall_clock_s"),
+        committed_s: read_reference("measured", "flow_wall_clock_s"),
         measured_s: flow_elapsed.as_secs_f64(),
     };
 
@@ -131,7 +118,7 @@ fn main() {
         proof.wall_clock.as_secs_f64(),
         proof.ms_per_proven_fault()
     );
-    let committed_proven = read_reference(&flow_json, "proof_throughput", "proven") as usize;
+    let committed_proven = read_reference("proof_throughput", "proven") as usize;
     if proof.proven != committed_proven {
         eprintln!(
             "perf-smoke gate failed: the proof stage proved {} faults but BENCH_flow.json \
@@ -143,7 +130,7 @@ fn main() {
     }
     let gate_proof = Gate {
         name: "proof_throughput",
-        committed_s: read_reference(&flow_json, "proof_throughput", "proof_wall_clock_s"),
+        committed_s: read_reference("proof_throughput", "proof_wall_clock_s"),
         measured_s: proof.wall_clock.as_secs_f64(),
     };
 
@@ -166,7 +153,7 @@ fn main() {
         sat.unresolved,
         sat.wall_clock.as_secs_f64()
     );
-    let committed_sat_proven = read_reference(&flow_json, "sat_throughput", "proven") as usize;
+    let committed_sat_proven = read_reference("sat_throughput", "proven") as usize;
     if sat.proven != committed_sat_proven {
         eprintln!(
             "perf-smoke gate failed: the SAT stage proved {} faults but BENCH_flow.json \
@@ -178,7 +165,7 @@ fn main() {
     }
     let gate_sat = Gate {
         name: "sat_throughput",
-        committed_s: read_reference(&flow_json, "sat_throughput", "sat_wall_clock_s"),
+        committed_s: read_reference("sat_throughput", "sat_wall_clock_s"),
         measured_s: sat.wall_clock.as_secs_f64(),
     };
 

@@ -48,10 +48,11 @@ pub enum DiscoveryMode {
 
 /// Configuration of the PODEM proof stage.
 ///
-/// The default proves the **entire** surviving undetected population — the
-/// three per-fault reductions (cone clipping, SCOAP guidance and
-/// collapse-scheduling, all on by default) make the full survivor set
-/// affordable, so `max_faults` is a debugging aid rather than a necessity.
+/// The default proves the **entire** surviving undetected population. The
+/// per-fault reductions are always on — cone clipping, SCOAP guidance and
+/// X-path pruning inside every PODEM search, and collapse scheduling of the
+/// worklist — and make the full survivor set affordable, so `max_faults` is
+/// a debugging aid rather than a necessity.
 #[derive(Clone, Debug)]
 pub struct ProofStageConfig {
     /// Backtrack budget per fault; exhausted searches stay unclassified.
@@ -67,17 +68,6 @@ pub struct ProofStageConfig {
     /// first with this deterministic seed so the slice is a representative
     /// sample instead of a universe-order prefix. `None` keeps the prefix.
     pub sample_seed: Option<u64>,
-    /// Prove one representative per structural equivalence class and expand
-    /// concluded verdicts across the class (aborts never expand).
-    pub use_collapse: bool,
-    /// Clip every PODEM search to the fault's cones (faulty simulation over
-    /// the fanout cone, incremental good machine).
-    pub cone_clip: bool,
-    /// Steer the PODEM searches with SCOAP testability measures.
-    pub use_scoap: bool,
-    /// Prune hopeless branches with the X-path check. Turning all four
-    /// toggles off reproduces the pre-acceleration proof stage exactly.
-    pub use_x_path: bool,
     /// Escalate PODEM aborts to the SAT proof backend (the PODEM/SAT
     /// portfolio). On by default at the flow level: the portfolio converts
     /// most of the abort column into proofs for the cost of re-attempting
@@ -115,10 +105,6 @@ impl Default for ProofStageConfig {
             threads: 0,
             max_faults: None,
             sample_seed: None,
-            use_collapse: true,
-            cone_clip: true,
-            use_scoap: true,
-            use_x_path: true,
             use_sat: true,
             sat_conflict_limit: 20_000,
             stage_timeout: None,
@@ -135,10 +121,7 @@ impl ProofStageConfig {
         ProofConfig {
             backtrack_limit: self.backtrack_limit,
             threads: self.threads,
-            use_collapse: self.use_collapse,
-            cone_clip: self.cone_clip,
-            use_scoap: self.use_scoap,
-            use_x_path: self.use_x_path,
+            use_collapse: true,
             use_sat: self.use_sat,
             sat_conflict_limit: self.sat_conflict_limit,
             failure_plan: self.failure_plan,
@@ -432,21 +415,7 @@ impl IdentificationFlow {
             baseline_structural: ctx.baseline_structural,
             phases: ctx.phases,
             counts: ctx.master.counts(),
-            engine_breakdown: ctx
-                .engine_breakdown
-                .map(|b| crate::report::ProofEngineBreakdown {
-                    podem_test_exists: b.podem_test_exists,
-                    podem_proven: b.podem_proven,
-                    podem_aborted: b.podem_aborted,
-                    sat_test_exists: b.sat_test_exists,
-                    sat_proven: b.sat_proven,
-                    sat_aborted: b.sat_aborted,
-                    aborted_backtracks: b.aborted_backtracks,
-                    aborted_conflicts: b.aborted_conflicts,
-                    aborted_timeout: b.aborted_timeout,
-                    aborted_panicked: b.aborted_panicked,
-                    aborted_unsupported: b.aborted_unsupported,
-                }),
+            engine_breakdown: ctx.engine_breakdown,
         };
         Ok((report, ctx.master))
     }
@@ -595,8 +564,7 @@ impl IdentificationFlow {
         let engine_config = self.config.proof.engine_config();
         let checkpoint = match &self.config.proof.checkpoint {
             Some(path) => {
-                let fingerprint =
-                    campaign_fingerprint(ctx.design.netlist(), &constraints, &engine_config);
+                let fingerprint = self.fingerprint_with(ctx.design.netlist(), &constraints);
                 Some(
                     Checkpoint::create_or_resume(path, fingerprint)
                         .map_err(|e| FlowError::Checkpoint(e.to_string()))?,
@@ -642,6 +610,22 @@ impl IdentificationFlow {
         let specs = DesignSpecs::gather(design);
         let tied = self.control_inputs(design, &specs)?;
         Ok(self.mission_constraints_from(design, &specs, &tied))
+    }
+
+    /// The fingerprint that keys the proof stage's checkpoint (and the
+    /// identification service's job state and result cache): the netlist,
+    /// the mission constraints and the verdict-affecting proof settings.
+    ///
+    /// # Errors
+    ///
+    /// See [`FlowError`]; constraint discovery can fail.
+    pub fn campaign_fingerprint<D: Design>(&self, design: &D) -> Result<u64, FlowError> {
+        let constraints = self.mission_constraints(design)?;
+        Ok(self.fingerprint_with(design.netlist(), &constraints))
+    }
+
+    fn fingerprint_with(&self, netlist: &netlist::Netlist, constraints: &ConstraintSet) -> u64 {
+        campaign_fingerprint(netlist, constraints, &self.config.proof.engine_config())
     }
 
     /// [`mission_constraints`](Self::mission_constraints) with the specs
@@ -956,9 +940,8 @@ mod tests {
         let with = portfolio.engine_breakdown.expect("proof stage ran");
         let without = podem_only.engine_breakdown.expect("proof stage ran");
         // Same survivors reach the proof stage either way.
-        let attempted = |b: &crate::report::ProofEngineBreakdown| {
-            b.test_exists_total() + b.proven_total() + b.aborted_total()
-        };
+        let attempted =
+            |b: &EngineBreakdown| b.test_exists_total() + b.proven_total() + b.aborted_total();
         assert_eq!(attempted(&with), attempted(&without));
         // With the portfolio off, no fault is ever attributed to SAT.
         assert_eq!(
@@ -1033,42 +1016,6 @@ mod tests {
             report.count_for(UntestableSource::AtpgProof) <= 40,
             "{report}"
         );
-    }
-
-    #[test]
-    fn accelerations_do_not_change_the_proof_bucket() {
-        // Cone clipping changes no decision and collapse expansion is sound,
-        // so switching both off must classify identically fault-by-fault
-        // (SCOAP stays off on both sides: it may legitimately move the abort
-        // boundary under a finite backtrack budget).
-        let soc = micro_soc();
-        let accelerated = FlowConfig {
-            proof: ProofStageConfig {
-                use_scoap: false,
-                ..micro_pipeline_config().proof
-            },
-            ..micro_pipeline_config()
-        };
-        let plain = FlowConfig {
-            proof: ProofStageConfig {
-                use_collapse: false,
-                cone_clip: false,
-                use_scoap: false,
-                ..micro_pipeline_config().proof
-            },
-            ..micro_pipeline_config()
-        };
-        let fast = IdentificationFlow::new(accelerated)
-            .run_with_faults(&soc)
-            .unwrap();
-        let slow = IdentificationFlow::new(plain)
-            .run_with_faults(&soc)
-            .unwrap();
-        assert_eq!(fast.0.counts, slow.0.counts);
-        for ((f1, c1), (f2, c2)) in fast.1.iter().zip(slow.1.iter()) {
-            assert_eq!(f1, f2);
-            assert_eq!(c1, c2, "{f1:?}");
-        }
     }
 
     #[test]

@@ -15,10 +15,9 @@
 
 use atpg::ConstraintSet;
 use netlist::{CellId, CellKind, NetId, Netlist};
-use serde::{Deserialize, Serialize};
 
 /// One elementary manipulation step.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ManipulationStep {
     /// Force a net to a constant logic value (tie to ground / Vdd).
     TieNet {
@@ -35,7 +34,7 @@ pub enum ManipulationStep {
 }
 
 /// An ordered collection of manipulation steps.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Manipulation {
     steps: Vec<ManipulationStep>,
 }

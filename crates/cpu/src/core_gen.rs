@@ -10,10 +10,9 @@ use crate::rtl::{
     sign_extend_16, zero_extend_16,
 };
 use netlist::{CellId, CellKind, NetId, NetlistBuilder, Reset, Word};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the generated core.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CoreConfig {
     /// Number of physical general-purpose registers (2..=32).
     pub num_regs: usize,

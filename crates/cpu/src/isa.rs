@@ -6,14 +6,13 @@
 //! generation unit, a branch unit and a general-purpose register file
 //! exercises the same untestability mechanisms.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A register index (0..=31). Register 0 always reads as zero.
 pub type Reg = u8;
 
 /// One `mini32` instruction.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Instr {
     /// No operation (encoded as `sll r0, r0, 0`).
     Nop,

@@ -8,10 +8,9 @@
 
 use crate::isa::{DecodeError, Instr};
 use crate::mem::Memory;
-use serde::{Deserialize, Serialize};
 
 /// The bus activity of one executed cycle.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct BusCycle {
     /// Program counter of the executed instruction.
     pub pc: u32,
@@ -30,7 +29,7 @@ pub struct BusCycle {
 }
 
 /// Why the simulator stopped.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum StopReason {
     /// A `halt` instruction was executed.
     Halted,
@@ -41,7 +40,7 @@ pub enum StopReason {
 }
 
 /// The result of running a program on the ISS.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunTrace {
     /// Per-cycle bus activity, in execution order.
     pub cycles: Vec<BusCycle>,
@@ -64,7 +63,7 @@ impl RunTrace {
 }
 
 /// The architectural state of the `mini32` processor.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Iss {
     /// General-purpose registers (r0 is hardwired to zero).
     pub regs: [u32; 32],

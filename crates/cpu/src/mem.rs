@@ -2,12 +2,11 @@
 //! set simulator, and the SoC memory map with the address-bit analysis of
 //! §3.3.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// The kind of a mapped memory region.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum RegionKind {
     /// Non-volatile program memory.
     Flash,
@@ -18,7 +17,7 @@ pub enum RegionKind {
 }
 
 /// One contiguous region of the memory map.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct MemRegion {
     /// First byte address of the region.
     pub base: u32,
@@ -104,7 +103,7 @@ fn range_has_bit_value(lo: u32, hi: u32, bit: u32, value: bool) -> bool {
 /// assert!(toggling.contains(&30));
 /// assert!(!toggling.contains(&25));
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MemoryMap {
     regions: Vec<MemRegion>,
 }
@@ -217,7 +216,7 @@ impl fmt::Display for MemoryMap {
 /// Sparse word-addressed memory used by the instruction-set simulator.
 ///
 /// Addresses are byte addresses; accesses must be 4-byte aligned.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Memory {
     words: BTreeMap<u32, u32>,
 }

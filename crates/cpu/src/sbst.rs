@@ -15,10 +15,9 @@ use crate::mem::Memory;
 use atpg::{FaultSim, InputVector};
 use faultmodel::StuckAt;
 use netlist::CellId;
-use serde::{Deserialize, Serialize};
 
 /// A named SBST test program.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SbstProgram {
     /// Short name ("alu", "regfile", …).
     pub name: String,
@@ -351,7 +350,7 @@ pub fn grade_suite(
 }
 
 /// Sanity statistics about a program's ISS execution.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProgramStats {
     /// Executed cycles.
     pub cycles: usize,

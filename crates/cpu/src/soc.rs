@@ -10,10 +10,9 @@ use dft::debug::{insert_debug_access, DebugConfig, DebugUnit};
 use dft::jtag::{generate_jtag, JtagConfig, JtagPort};
 use dft::scan::{insert_scan, ScanConfig, ScanInsertion};
 use netlist::{CellId, CellKind, NetId, Netlist, NetlistBuilder};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the generated SoC.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SocConfig {
     /// The processor core configuration.
     pub core: CoreConfig,

@@ -7,10 +7,9 @@
 //! that this source of on-line untestable logic is represented.
 
 use netlist::{NetId, NetlistBuilder, Word};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a BIST block.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BistConfig {
     /// Width of the LFSR and MISR registers.
     pub width: usize,
@@ -28,7 +27,7 @@ impl Default for BistConfig {
 }
 
 /// The nets of a generated BIST block.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BistBlock {
     /// The BIST enable primary-input net.
     pub enable: NetId,

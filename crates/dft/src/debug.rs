@@ -11,10 +11,9 @@
 //! on-line functionally untestable faults.
 
 use netlist::{CellAttrs, CellId, CellKind, NetId, Netlist};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the debug-access insertion.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DebugConfig {
     /// Name of the debug-enable primary input (Fig. 4's `DE`).
     pub enable_name: String,
@@ -42,7 +41,7 @@ impl Default for DebugConfig {
 }
 
 /// The structure created by [`insert_debug_access`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DebugUnit {
     /// The debug-enable `Input` pseudo-cell.
     pub enable_port: CellId,

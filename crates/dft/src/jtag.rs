@@ -7,10 +7,9 @@
 //! case study of §4 found tied off in mission mode.
 
 use netlist::{NetId, NetlistBuilder, Word};
-use serde::{Deserialize, Serialize};
 
 /// The TAP controller states, encoded in the conventional 4-bit encoding.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub enum TapState {
     TestLogicReset = 0xF,
@@ -99,7 +98,7 @@ impl TapState {
 }
 
 /// Configuration of the JTAG port generator.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct JtagConfig {
     /// Name prefix for the JTAG ports.
     pub port_prefix: String,
@@ -120,7 +119,7 @@ impl Default for JtagConfig {
 }
 
 /// The ports and key internal nets of a generated JTAG TAP.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct JtagPort {
     /// TMS primary-input net.
     pub tms: NetId,

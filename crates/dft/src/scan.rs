@@ -3,10 +3,9 @@
 //! paper analyses (Fig. 2).
 
 use netlist::{CellAttrs, CellId, CellKind, NetId, Netlist, PinIndex};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of scan insertion.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ScanConfig {
     /// Number of scan chains to build.
     pub num_chains: usize,
@@ -38,7 +37,7 @@ impl Default for ScanConfig {
 }
 
 /// One stitched scan chain.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ScanChain {
     /// The scan-in `Input` pseudo-cell.
     pub scan_in_port: CellId,
@@ -54,7 +53,7 @@ pub struct ScanChain {
 }
 
 /// The result of scan insertion.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ScanInsertion {
     /// The stitched chains.
     pub chains: Vec<ScanChain>,

@@ -7,12 +7,11 @@
 //! information to prune the corresponding faults.
 
 use netlist::{CellId, CellKind, NetId, Netlist};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
 
 /// One element encountered while walking a scan chain.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ScanElement {
     /// A mux-scan flip-flop.
     Flop(CellId),
@@ -30,7 +29,7 @@ impl ScanElement {
 }
 
 /// A fully traced scan chain.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TracedChain {
     /// The scan-in `Input` pseudo-cell the trace started from.
     pub scan_in_port: CellId,
@@ -65,7 +64,7 @@ impl TracedChain {
 }
 
 /// The result of tracing every chain of a design.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ScanTrace {
     /// The traced chains, one per scan-in port.
     pub chains: Vec<TracedChain>,

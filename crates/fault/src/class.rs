@@ -1,12 +1,11 @@
 //! Fault classification: the classical structural classes plus the paper's
 //! *on-line functionally untestable* class, broken down by source.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The source of on-line functional untestability, as defined in §3 of the
 /// paper.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub enum UntestableSource {
     /// Scan chain circuitry (§3.1): SI/SE pins, scan-path buffers.
     Scan,
@@ -59,7 +58,7 @@ impl fmt::Display for UntestableSource {
 /// paper's TetraMAX) reports; `OnlineUntestable` is the class this work adds
 /// on top, produced by re-interpreting structural untestability after the
 /// mission-mode circuit manipulation.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub enum FaultClass {
     /// Not (yet) detected, no information — the initial state.
     #[default]

@@ -2,7 +2,6 @@
 
 use crate::{FaultClass, FaultSite, StuckAt, UntestableSource};
 use netlist::{CellId, Netlist, PinIndex};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The complete stuck-at fault universe of a design, with a classification
@@ -29,13 +28,11 @@ use std::collections::HashMap;
 /// // input cell: 1 pin, inverter: 2 pins, output cell: 1 pin => 8 faults
 /// assert_eq!(faults.len(), 8);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FaultList {
     faults: Vec<StuckAt>,
     classes: Vec<FaultClass>,
-    #[serde(skip)]
     index: HashMap<StuckAt, usize>,
-    #[serde(skip)]
     by_cell: HashMap<CellId, Vec<usize>>,
 }
 
@@ -82,7 +79,7 @@ impl FaultList {
         }
     }
 
-    /// Rebuilds the lookup indices (needed after deserialization).
+    /// Rebuilds the lookup indices from the fault vector.
     pub fn rebuild_index(&mut self) {
         self.index = self
             .faults

@@ -1,12 +1,11 @@
 //! Coverage accounting and report formatting.
 
 use crate::{FaultClass, UntestableSource};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Per-class fault counts, plus the per-source breakdown of the on-line
 /// functionally untestable class.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ClassCounts {
     /// Faults not yet classified.
     pub undetected: usize,
@@ -142,7 +141,7 @@ impl fmt::Display for ClassCounts {
 }
 
 /// One row of a Table-I-style summary.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SummaryRow {
     /// Row label (e.g. "Scan", "Debug", "Memory", "TOTAL").
     pub label: String,
@@ -154,7 +153,7 @@ pub struct SummaryRow {
 
 /// A Table-I-style summary: per-source counts of on-line functionally
 /// untestable faults and their percentage of the fault universe.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct UntestableSummary {
     /// Total number of faults in the universe.
     pub total_faults: usize,

@@ -1,7 +1,6 @@
 //! Stuck-at fault sites under the pin-fault model.
 
 use netlist::{CellId, Netlist, PinIndex};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A location where a stuck-at fault can occur: a cell input pin (a *branch*
@@ -11,7 +10,7 @@ use std::fmt;
 /// pseudo-cells of the netlist: a fault on a primary input is the output-pin
 /// fault of its `Input` cell, a fault on a primary output is the input-pin
 /// fault of its `Output` cell.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub enum FaultSite {
     /// Input pin `pin` of `cell`.
     CellInput {
@@ -67,7 +66,7 @@ impl FaultSite {
 /// let fault = StuckAt::new(FaultSite::CellOutput { cell: inv }, true);
 /// assert_eq!(fault.describe(&n), "u_inv_1.Y stuck-at-1");
 /// ```
-#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct StuckAt {
     /// Where the fault sits.
     pub site: FaultSite,

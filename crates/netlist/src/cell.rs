@@ -2,14 +2,13 @@
 //! [`Netlist`](crate::Netlist) is made of, together with their pin naming and
 //! two-valued evaluation functions.
 
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::fmt;
 
 /// Asynchronous reset configuration of a flip-flop.
 ///
 /// A reset always forces the stored value to `0`; only its polarity varies.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Reset {
     /// Reset pin is active low (`RSTN = 0` clears the flip-flop).
     ActiveLow,
@@ -26,7 +25,7 @@ pub enum Reset {
 /// port pseudo-cells.
 ///
 /// Multi-input gates carry their arity (2..=32).
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum CellKind {
     /// Primary input pseudo-cell: no input pins, drives one net.
     Input,
@@ -368,7 +367,7 @@ impl fmt::Display for CellKind {
 /// The on-line-untestability identification flow uses these to locate
 /// functional groups ("agu", "btb", "debug", …) and address-holding
 /// registers without re-deriving them from names.
-#[derive(Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct CellAttrs {
     /// Functional group this cell belongs to (e.g. `"alu"`, `"agu.adder"`,
     /// `"debug"`, `"btb"`). Empty string means "no group".
@@ -398,7 +397,7 @@ impl CellAttrs {
 }
 
 /// A cell instance inside a [`Netlist`](crate::Netlist).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Cell {
     pub(crate) kind: CellKind,
     pub(crate) name: String,

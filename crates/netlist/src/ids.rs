@@ -3,7 +3,6 @@
 //! All identifiers are thin newtypes over `u32`; they are only meaningful
 //! with respect to the [`Netlist`](crate::Netlist) that produced them.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a net (a single-bit wire) inside a [`Netlist`](crate::Netlist).
@@ -18,7 +17,7 @@ use std::fmt;
 /// let y = b.not(a);
 /// assert_ne!(a, y);
 /// ```
-#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NetId(pub(crate) u32);
 
 /// Identifier of a cell (gate, flip-flop, tie or port pseudo-cell) inside a
@@ -34,7 +33,7 @@ pub struct NetId(pub(crate) u32);
 /// let c = n.add_cell(CellKind::Tie0, "tie", &[], Some(w));
 /// assert_eq!(n.cell(c).kind(), CellKind::Tie0);
 /// ```
-#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CellId(pub(crate) u32);
 
 /// Index of an input pin within a cell (0-based, in declaration order).
@@ -42,7 +41,7 @@ pub type PinIndex = u16;
 
 /// A reference to one input pin of one cell: the canonical way to identify a
 /// *load* of a net, and one of the two flavours of stuck-at fault sites.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct PinRef {
     /// The cell owning the pin.
     pub cell: CellId,

@@ -1,12 +1,11 @@
 //! The flat, arena-indexed gate-level netlist.
 
 use crate::{Cell, CellAttrs, CellId, CellKind, NetId, PinIndex, PinRef};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// A single-bit wire connecting exactly one driver to any number of loads.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Net {
     pub(crate) name: String,
     pub(crate) driver: Option<CellId>,
@@ -99,7 +98,7 @@ impl std::error::Error for NetlistError {}
 /// assert_eq!(n.num_cells(), 6); // 2 inputs + 2 gates + 2 outputs
 /// assert_eq!(n.num_nets(), 4);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Netlist {
     name: String,
     cells: Vec<Cell>,

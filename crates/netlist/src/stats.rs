@@ -2,11 +2,10 @@
 //! the stuck-at fault universe implied by the pin-fault model.
 
 use crate::{CellKind, Netlist};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Summary statistics of a netlist.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NetlistStats {
     /// Live combinational gates (including buffers, inverters and muxes).
     pub combinational_cells: usize,

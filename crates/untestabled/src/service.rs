@@ -11,8 +11,6 @@
 
 use crate::job::{JobRequest, JobState};
 use crate::queue::{JobQueue, QueueFull};
-use atpg::checkpoint::campaign_fingerprint;
-use atpg::proof::ProofConfig;
 use atpg::CancelToken;
 use netlist::frontend::parse_netlist;
 use online_untestable::flow::{FlowConfig, IdentificationFlow, ProofStageConfig};
@@ -872,42 +870,23 @@ fn flow_config(job: &Job, attempt: Option<&AttemptInfo>) -> FlowConfig {
             checkpoint: attempt.map(|a| a.checkpoint.clone()),
             cancel: attempt.map(|a| a.token.clone()),
             failure_plan: job.request.chaos.as_ref().and_then(|chaos| chaos.engine),
-            ..ProofStageConfig::default()
         },
         ..FlowConfig::full_pipeline()
     }
 }
 
 /// The campaign fingerprint the proof stage will key its checkpoint with —
-/// computed identically here so the result cache shares the key.
+/// the flow computes it, so the result cache shares the key.
 fn fingerprint_of(request: &JobRequest) -> Result<u64, String> {
-    use online_untestable::Design;
     let design = design_of(request)?;
     let probe = Job {
         id: 0,
         request: request.clone(),
         record: Mutex::new(fresh_record()),
     };
-    let flow = IdentificationFlow::new(flow_config(&probe, None));
-    let constraints = flow
-        .mission_constraints(&design)
-        .map_err(|e| format!("constraint discovery: {e}"))?;
-    let engine = ProofConfig {
-        backtrack_limit: request.config.backtrack,
-        threads: request.config.threads,
-        use_collapse: true,
-        cone_clip: true,
-        use_scoap: true,
-        use_x_path: true,
-        use_sat: request.config.sat,
-        sat_conflict_limit: request.config.sat_conflicts,
-        failure_plan: None,
-    };
-    Ok(campaign_fingerprint(
-        design.netlist(),
-        &constraints,
-        &engine,
-    ))
+    IdentificationFlow::new(flow_config(&probe, None))
+        .campaign_fingerprint(&design)
+        .map_err(|e| format!("constraint discovery: {e}"))
 }
 
 /// Runs one identification attempt; returns the report JSON and whether a
