@@ -23,7 +23,9 @@
 //!
 //! A `Sat` answer is never trusted on its own: the model is replayed through
 //! [`CombSim`] with the fault injected and must reproduce the detection
-//! before [`SatVerdict::TestExists`] is returned.
+//! before [`SatVerdict::TestExists`] is returned. Nor is a repeat solve
+//! needed for an instance known to exhaust the conflict budget: the prover
+//! remembers those (see [`SatProver`]).
 
 use std::collections::{HashMap, HashSet};
 
@@ -79,6 +81,22 @@ struct Detection {
     trivially_detected: bool,
 }
 
+/// The exact input of one solve: the clauses the encoder handed
+/// [`Solver::add_clause`], in order, the variable count, the assumptions and
+/// the conflict limit. The solver is deterministic, so equal inputs run the
+/// same search to the same answer.
+#[derive(Default, PartialEq, Eq, Hash, Debug)]
+struct SolveInput {
+    /// Every clause's literals, back to back.
+    lits: Vec<Lit>,
+    /// Length of each clause in `lits`.
+    clause_lens: Vec<u32>,
+    num_vars: usize,
+    /// Unit assumptions pinning the mission forces.
+    assumptions: Vec<Lit>,
+    conflict_limit: u64,
+}
+
 /// Per-fault CNF under construction: the solver, the lazily resolved good
 /// machine, and the assumption/input bookkeeping.
 struct Cnf<'n> {
@@ -88,8 +106,8 @@ struct Cnf<'n> {
     solver: Solver,
     /// Good-machine encoding per net, resolved on demand through the fan-in.
     good: HashMap<NetId, Repr>,
-    /// Unit assumptions pinning the mission forces.
-    assumptions: Vec<Lit>,
+    /// Everything handed to the solver so far, for the abort memo.
+    solve_input: SolveInput,
     /// Free controllable variables, for replaying a model through the
     /// simulator. Order is deterministic (resolution order).
     inputs: Vec<(NetId, Var)>,
@@ -110,11 +128,18 @@ impl<'n> Cnf<'n> {
             control_ff_outputs,
             solver: Solver::new(),
             good: HashMap::new(),
-            assumptions: Vec::new(),
+            solve_input: SolveInput::default(),
             inputs: Vec::new(),
             true_lit: None,
             stack: Vec::new(),
         }
+    }
+
+    /// Adds a clause to the solver and records it in the solve input.
+    fn add_clause(&mut self, lits: &[Lit]) {
+        self.solve_input.lits.extend_from_slice(lits);
+        self.solve_input.clause_lens.push(lits.len() as u32);
+        self.solver.add_clause(lits);
     }
 
     /// A literal that is true in every model (created on first use).
@@ -123,7 +148,7 @@ impl<'n> Cnf<'n> {
             return l;
         }
         let l = Lit::positive(self.solver.new_var());
-        self.solver.add_clause(&[l]);
+        self.add_clause(&[l]);
         self.true_lit = Some(l);
         l
     }
@@ -173,10 +198,10 @@ impl<'n> Cnf<'n> {
                 let mut all = Vec::with_capacity(lits.len() + 1);
                 all.push(y);
                 for &l in &lits {
-                    self.solver.add_clause(&[!y, l]);
+                    self.add_clause(&[!y, l]);
                     all.push(!l);
                 }
-                self.solver.add_clause(&all);
+                self.add_clause(&all);
                 Repr::Lit(y)
             }
         }
@@ -206,10 +231,10 @@ impl<'n> Cnf<'n> {
                 let mut all = Vec::with_capacity(lits.len() + 1);
                 all.push(!y);
                 for &l in &lits {
-                    self.solver.add_clause(&[y, !l]);
+                    self.add_clause(&[y, !l]);
                     all.push(l);
                 }
-                self.solver.add_clause(&all);
+                self.add_clause(&all);
                 Repr::Lit(y)
             }
         }
@@ -224,10 +249,10 @@ impl<'n> Cnf<'n> {
             (Repr::Lit(p), Repr::Lit(q)) if p == !q => Repr::Const(true),
             (Repr::Lit(p), Repr::Lit(q)) => {
                 let y = Lit::positive(self.solver.new_var());
-                self.solver.add_clause(&[!p, !q, !y]);
-                self.solver.add_clause(&[p, q, !y]);
-                self.solver.add_clause(&[p, !q, y]);
-                self.solver.add_clause(&[!p, q, y]);
+                self.add_clause(&[!p, !q, !y]);
+                self.add_clause(&[p, q, !y]);
+                self.add_clause(&[p, !q, y]);
+                self.add_clause(&[!p, q, y]);
                 Repr::Lit(y)
             }
         }
@@ -252,10 +277,10 @@ impl<'n> Cnf<'n> {
                 let l0 = self.lit_of(d0);
                 let l1 = self.lit_of(d1);
                 let y = Lit::positive(self.solver.new_var());
-                self.solver.add_clause(&[sl, !y, l0]);
-                self.solver.add_clause(&[sl, y, !l0]);
-                self.solver.add_clause(&[!sl, !y, l1]);
-                self.solver.add_clause(&[!sl, y, !l1]);
+                self.add_clause(&[sl, !y, l0]);
+                self.add_clause(&[sl, y, !l0]);
+                self.add_clause(&[!sl, !y, l1]);
+                self.add_clause(&[!sl, y, !l1]);
                 Repr::Lit(y)
             }
         }
@@ -321,7 +346,7 @@ impl<'n> Cnf<'n> {
                     return Err(Unsupported);
                 };
                 let v = self.solver.new_var();
-                self.assumptions.push(Lit::new(v, bit));
+                self.solve_input.assumptions.push(Lit::new(v, bit));
                 self.good.insert(n, Repr::Lit(Lit::positive(v)));
                 self.stack.pop();
                 continue;
@@ -496,6 +521,18 @@ fn replay_detects(
     false
 }
 
+/// Cumulative work of one [`SatProver`].
+#[derive(Copy, Clone, Default, PartialEq, Eq, Debug)]
+pub struct SatCounters {
+    /// Solver runs (memo hits excluded).
+    pub solves: u64,
+    /// Conflicts spent across those runs.
+    pub conflicts: u64,
+    /// Solves skipped because an identical instance had already exhausted
+    /// its conflict budget.
+    pub memo_hits: u64,
+}
+
 /// SAT-backed untestability prover over the full-scan combinational frame.
 ///
 /// Shares PODEM's view of the environment: primary inputs and flip-flop
@@ -504,6 +541,21 @@ fn replay_detects(
 /// [`prove`](Self::prove) call encodes the fault's cone-clipped good/faulty
 /// machine pair into a fresh CNF and asks the CDCL core ([`sat::Solver`])
 /// whether any detecting assignment exists.
+///
+/// # Abort memo
+///
+/// Bit-sliced datapaths give byte-identical per-fault CNFs, because
+/// variables are numbered in resolution order, so a worklist meets the same
+/// instance several times. The prover remembers every instance that
+/// exhausted its conflict budget, keyed by the exact solver input (the
+/// clause stream, variable count, assumptions and conflict limit; equality,
+/// not the hash, decides a hit), and answers a repeat with
+/// [`SatVerdict::Aborted`] / [`AbortReason::Conflicts`] without solving —
+/// what the deterministic solver would return. Nothing else is memoised:
+/// interrupt and deadline stops may conclude on a later attempt, every
+/// [`SatVerdict::ProvenUntestable`] comes from a real solve, and every
+/// [`SatVerdict::TestExists`] from a replayed model. The memo lives as long
+/// as the prover (one per proof worker per campaign).
 #[derive(Debug)]
 pub struct SatProver<'a> {
     netlist: &'a Netlist,
@@ -521,6 +573,9 @@ pub struct SatProver<'a> {
     deadline: Option<std::time::Instant>,
     last_abort_reason: Option<AbortReason>,
     corrupt_next_model: bool,
+    /// Inputs whose solve exhausted the conflict budget.
+    aborted_inputs: HashSet<SolveInput>,
+    counters: SatCounters,
     good_buf: NetValues,
     faulty_buf: NetValues,
     scratch: SimScratch,
@@ -585,6 +640,8 @@ impl<'a> SatProver<'a> {
             deadline: None,
             last_abort_reason: None,
             corrupt_next_model: false,
+            aborted_inputs: HashSet::new(),
+            counters: SatCounters::default(),
             good_buf,
             faulty_buf,
             scratch,
@@ -615,6 +672,11 @@ impl<'a> SatProver<'a> {
     /// a concluded verdict).
     pub fn last_abort_reason(&self) -> Option<AbortReason> {
         self.last_abort_reason
+    }
+
+    /// Cumulative solves, conflicts and memo hits since construction.
+    pub fn counters(&self) -> SatCounters {
+        self.counters
     }
 
     /// Failure injection (test harness): corrupt the model extracted by the
@@ -690,7 +752,7 @@ impl<'a> SatProver<'a> {
                 // assignment: untestable, no solving needed.
                 return SatVerdict::ProvenUntestable;
             }
-            cnf.solver.add_clause(&detection.terms);
+            cnf.add_clause(&detection.terms);
         }
         if cnf.solver.num_clauses() > self.clause_limit {
             // The cone blew past the clause guard: decline before handing the
@@ -698,15 +760,28 @@ impl<'a> SatProver<'a> {
             self.last_abort_reason = Some(AbortReason::Unsupported);
             return SatVerdict::Unsupported;
         }
+        cnf.solve_input.num_vars = cnf.solver.num_vars();
+        cnf.solve_input.conflict_limit = self.conflict_limit;
+        if self.aborted_inputs.contains(&cnf.solve_input) {
+            self.counters.memo_hits += 1;
+            self.last_abort_reason = Some(AbortReason::Conflicts);
+            return SatVerdict::Aborted;
+        }
         cnf.solver.set_conflict_limit(Some(self.conflict_limit));
         cnf.solver.set_interrupt(self.interrupt.clone());
         cnf.solver.set_deadline(self.deadline);
-        match cnf.solver.solve_with_assumptions(&cnf.assumptions) {
+        let result = cnf
+            .solver
+            .solve_with_assumptions(&cnf.solve_input.assumptions);
+        self.counters.solves += 1;
+        self.counters.conflicts += cnf.solver.conflicts();
+        match result {
             SolveResult::Unsat => SatVerdict::ProvenUntestable,
             SolveResult::Unknown => {
                 self.last_abort_reason = Some(if cnf.solver.was_interrupted() {
                     AbortReason::Timeout
                 } else {
+                    self.aborted_inputs.insert(cnf.solve_input);
                     AbortReason::Conflicts
                 });
                 SatVerdict::Aborted
@@ -915,6 +990,68 @@ mod tests {
         assert_eq!(limited.prove(fault), SatVerdict::Aborted);
         let mut free = prover(&n, &constraints);
         assert_eq!(free.prove(fault), SatVerdict::ProvenUntestable);
+    }
+
+    /// Two identical bit slices of the classic redundancy `y = a OR (a AND
+    /// b)`; returns each slice's AND cell.
+    fn twin_slices() -> (Netlist, [CellId; 2]) {
+        let mut b = NetlistBuilder::new("twins");
+        let mut ands = Vec::new();
+        for i in 0..2 {
+            let a = b.input(format!("a{i}"));
+            let bb = b.input(format!("b{i}"));
+            let g = b.and2(a, bb);
+            let y = b.or2(a, g);
+            b.output(format!("y{i}"), y);
+            ands.push(g);
+        }
+        let n = b.finish();
+        let cells = [n.driver_of(ands[0]).unwrap(), n.driver_of(ands[1]).unwrap()];
+        (n, cells)
+    }
+
+    #[test]
+    fn a_twin_of_a_budget_exhausted_instance_is_not_solved_again() {
+        let (n, ands) = twin_slices();
+        let constraints = ConstraintSet::full_scan();
+        // A zero conflict budget cannot finish the redundancy proof.
+        let mut p = SatProver::new(&n, &constraints, 0).expect("acyclic");
+        for cell in ands {
+            assert_eq!(p.prove(StuckAt::output(cell, false)), SatVerdict::Aborted);
+            assert_eq!(p.last_abort_reason(), Some(AbortReason::Conflicts));
+        }
+        assert_eq!(
+            p.counters(),
+            SatCounters {
+                solves: 1,
+                conflicts: 1,
+                memo_hits: 1
+            }
+        );
+        // Concluded verdicts are never memoised: each twin is solved.
+        let mut free = prover(&n, &constraints);
+        for cell in ands {
+            assert_eq!(
+                free.prove(StuckAt::output(cell, false)),
+                SatVerdict::ProvenUntestable
+            );
+        }
+        assert_eq!(free.counters().solves, 2);
+        assert_eq!(free.counters().memo_hits, 0);
+    }
+
+    #[test]
+    fn a_deadline_abort_is_not_memoised() {
+        let (n, ands) = twin_slices();
+        let fault = StuckAt::output(ands[0], false);
+        let mut p = prover(&n, &ConstraintSet::full_scan());
+        p.set_search_limits(None, Some(std::time::Instant::now()));
+        assert_eq!(p.prove(fault), SatVerdict::Aborted);
+        assert_eq!(p.last_abort_reason(), Some(AbortReason::Timeout));
+        p.set_search_limits(None, None);
+        assert_eq!(p.prove(fault), SatVerdict::ProvenUntestable);
+        assert_eq!(p.counters().solves, 2);
+        assert_eq!(p.counters().memo_hits, 0);
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub mod tpg;
 pub use analysis::{AnalysisConfig, AnalysisOutcome, StructuralAnalysis};
 pub use budget::{AbortReason, Budget, CancelToken, FailurePlan};
 pub use checkpoint::{campaign_fingerprint, Checkpoint, CheckpointError};
-pub use cnf::{SatProver, SatVerdict};
+pub use cnf::{SatCounters, SatProver, SatVerdict};
 pub use compiled::{CompiledProgram, PackedInjection, PackedScratch, PackedVectors, SimScratch};
 pub use constant::{propagate_constants, ConstantValues, ConstraintSet};
 pub use fault_sim::{FaultSim, FaultSimOutcome, InputVector};

@@ -50,6 +50,12 @@ fn sat_throughput(c: &mut Criterion) {
         sat.wall_clock.as_secs_f64(),
         sat.ms_per_concluded_fault()
     );
+    println!(
+        "SAT search (slice)      : {} conflicts, {:.0} conflicts/s, {} abort-memo hits",
+        sat.conflicts,
+        sat.conflicts_per_s(),
+        sat.memo_hits
+    );
 
     let mut group = c.benchmark_group("sat_throughput");
     group

@@ -269,12 +269,15 @@ impl ProofCampaign {
                 SatVerdict::Aborted | SatVerdict::Unsupported => unresolved += 1,
             }
         }
+        let counters = prover.counters();
         SatStageResult {
             wall_clock: start.elapsed(),
             attempted: worklist.len(),
             proven,
             test_exists,
             unresolved,
+            conflicts: counters.conflicts,
+            memo_hits: counters.memo_hits,
         }
     }
 
@@ -320,12 +323,21 @@ pub struct SatStageResult {
     pub test_exists: usize,
     /// Faults the SAT backend declined or conflict-limited out of.
     pub unresolved: usize,
+    /// Conflicts the solver spent.
+    pub conflicts: u64,
+    /// Solves skipped by the prover's abort memo.
+    pub memo_hits: u64,
 }
 
 impl SatStageResult {
     /// Milliseconds of SAT wall-clock per concluded fault.
     pub fn ms_per_concluded_fault(&self) -> f64 {
         self.wall_clock.as_secs_f64() * 1e3 / (self.proven + self.test_exists).max(1) as f64
+    }
+
+    /// Solver conflicts per second of SAT wall-clock.
+    pub fn conflicts_per_s(&self) -> f64 {
+        self.conflicts as f64 / self.wall_clock.as_secs_f64().max(f64::MIN_POSITIVE)
     }
 }
 

@@ -79,20 +79,6 @@ impl FaultList {
         }
     }
 
-    /// Rebuilds the lookup indices from the fault vector.
-    pub fn rebuild_index(&mut self) {
-        self.index = self
-            .faults
-            .iter()
-            .enumerate()
-            .map(|(i, &f)| (f, i))
-            .collect();
-        self.by_cell.clear();
-        for (i, fault) in self.faults.iter().enumerate() {
-            self.by_cell.entry(fault.site.cell()).or_default().push(i);
-        }
-    }
-
     /// Number of faults in the universe.
     pub fn len(&self) -> usize {
         self.faults.len()
@@ -389,14 +375,5 @@ mod tests {
         let faults = site.both_polarities();
         assert!(!faults[0].value);
         assert!(faults[1].value);
-    }
-
-    #[test]
-    fn rebuild_index_restores_lookup() {
-        let (n, mut list) = sample();
-        let and = n.find_cell("u_and_1").unwrap();
-        list.rebuild_index();
-        assert!(list.contains(StuckAt::output(and, true)));
-        assert_eq!(list.faults_of_cell(and).len(), 6);
     }
 }

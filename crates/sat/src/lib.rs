@@ -20,6 +20,26 @@
 //! * a **conflict limit** ([`Solver::set_conflict_limit`]) that turns an
 //!   over-budget search into [`SolveResult::Unknown`] instead of an answer.
 //!
+//! # Layout
+//!
+//! The data structures are laid out for the propagation and decision loops,
+//! without changing a single search step:
+//!
+//! * every clause lives in one flat `u32` arena — a length header followed
+//!   by its literal codes — and a clause reference is its header's offset;
+//! * assignments are read per literal (`vals[lit]`), not per variable;
+//! * the VSIDS heap stores each variable's activity inline next to it and
+//!   sifts by moving a hole, so it makes the same comparisons, in the same
+//!   order, as a heap that reads the activity array;
+//! * conflict analysis builds the learnt clause in a reused buffer.
+//!
+//! Watch-list order and every literal swap are part of the search (they
+//! decide which watch moves and the literal order of learnt clauses), so
+//! they are kept exactly; there are no blocker literals. The golden test
+//! in `tests/solver.rs` pins `(result, conflicts, model)` of a seeded
+//! random 3-SAT workload. [`Solver::decisions`], [`Solver::propagations`]
+//! and [`Solver::conflicts`] count the search work.
+//!
 //! # Examples
 //!
 //! ```
@@ -91,7 +111,7 @@ impl Lit {
         Lit(self.0 ^ 1)
     }
 
-    /// Dense code (two codes per variable), the watch-list index.
+    /// Dense code (two codes per variable), the watch-list and value index.
     fn code(self) -> usize {
         self.0 as usize
     }
@@ -116,97 +136,113 @@ pub enum SolveResult {
     Unknown,
 }
 
-/// One clause of the database. `lits[0]` and `lits[1]` are the watched
-/// literals; for a learnt (reason) clause `lits[0]` is the asserted literal.
-#[derive(Debug)]
-struct Clause {
-    lits: Vec<Lit>,
-}
-
+/// `reason` entry of a decision or a root-level unit.
 const NO_REASON: u32 = u32::MAX;
+/// `VarOrder::pos` entry of a variable outside the heap.
+const NOT_IN_HEAP: u32 = u32::MAX;
 
-/// Activity-ordered max-heap of decision variables (the VSIDS order), with a
-/// dense position index so activity bumps can sift in place.
+/// Activity-ordered max-heap of decision variables (the VSIDS order). Each
+/// entry carries its variable's activity inline, so sifting compares heap
+/// slots instead of chasing the activity array; a dense position index lets
+/// activity bumps sift in place.
+///
+/// Invariant: an entry's key always equals its variable's current activity
+/// in [`Solver`], so the comparisons — and therefore the tie order — are
+/// exactly those of a heap that reads the activity array.
 #[derive(Debug, Default)]
 struct VarOrder {
-    heap: Vec<u32>,
-    /// Position of each variable in `heap`, `usize::MAX` when absent.
-    pos: Vec<usize>,
+    heap: Vec<(f64, u32)>,
+    /// Position of each variable in `heap`, [`NOT_IN_HEAP`] when absent.
+    pos: Vec<u32>,
 }
 
 impl VarOrder {
     fn grow(&mut self) {
-        self.pos.push(usize::MAX);
+        self.pos.push(NOT_IN_HEAP);
     }
 
     fn contains(&self, v: usize) -> bool {
-        self.pos[v] != usize::MAX
+        self.pos[v] != NOT_IN_HEAP
     }
 
-    fn insert(&mut self, v: usize, activity: &[f64]) {
+    fn insert(&mut self, v: usize, activity: f64) {
         if self.contains(v) {
             return;
         }
-        self.pos[v] = self.heap.len();
-        self.heap.push(v as u32);
-        self.sift_up(self.heap.len() - 1, activity);
+        self.pos[v] = self.heap.len() as u32;
+        self.heap.push((activity, v as u32));
+        self.sift_up(self.heap.len() - 1);
     }
 
-    fn bump(&mut self, v: usize, activity: &[f64]) {
+    /// Raises `v`'s key to its new (larger) `activity`.
+    fn bump(&mut self, v: usize, activity: f64) {
         if self.contains(v) {
-            self.sift_up(self.pos[v], activity);
+            let i = self.pos[v] as usize;
+            self.heap[i].0 = activity;
+            self.sift_up(i);
         }
     }
 
-    fn pop(&mut self, activity: &[f64]) -> Option<usize> {
-        let top = *self.heap.first()? as usize;
+    /// Multiplies every key by `factor`, as the activity rescale does.
+    fn rescale(&mut self, factor: f64) {
+        for entry in &mut self.heap {
+            entry.0 *= factor;
+        }
+    }
+
+    fn pop(&mut self) -> Option<usize> {
+        let top = self.heap.first()?.1 as usize;
         let last = self.heap.pop().expect("non-empty");
-        self.pos[top] = usize::MAX;
+        self.pos[top] = NOT_IN_HEAP;
         if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.pos[last as usize] = 0;
-            self.sift_down(0, activity);
+            self.place(0, last);
+            self.sift_down(0);
         }
         Some(top)
     }
 
-    fn sift_up(&mut self, mut i: usize, activity: &[f64]) {
+    /// Moves the entry at `i` up past every parent with a smaller key,
+    /// shifting those parents down into the hole it leaves.
+    fn sift_up(&mut self, mut i: usize) {
+        let entry = self.heap[i];
         while i > 0 {
             let parent = (i - 1) / 2;
-            if activity[self.heap[i] as usize] <= activity[self.heap[parent] as usize] {
+            if entry.0 <= self.heap[parent].0 {
                 break;
             }
-            self.swap(i, parent);
+            self.place(i, self.heap[parent]);
             i = parent;
         }
+        self.place(i, entry);
     }
 
-    fn sift_down(&mut self, mut i: usize, activity: &[f64]) {
+    /// Moves the entry at `i` down past every larger child (the larger of
+    /// the two, the left one on a tie), shifting those children up.
+    fn sift_down(&mut self, mut i: usize) {
+        let entry = self.heap[i];
         loop {
             let left = 2 * i + 1;
             if left >= self.heap.len() {
                 break;
             }
             let right = left + 1;
-            let child = if right < self.heap.len()
-                && activity[self.heap[right] as usize] > activity[self.heap[left] as usize]
-            {
+            let child = if right < self.heap.len() && self.heap[right].0 > self.heap[left].0 {
                 right
             } else {
                 left
             };
-            if activity[self.heap[child] as usize] <= activity[self.heap[i] as usize] {
+            if self.heap[child].0 <= entry.0 {
                 break;
             }
-            self.swap(i, child);
+            self.place(i, self.heap[child]);
             i = child;
         }
+        self.place(i, entry);
     }
 
-    fn swap(&mut self, i: usize, j: usize) {
-        self.heap.swap(i, j);
-        self.pos[self.heap[i] as usize] = i;
-        self.pos[self.heap[j] as usize] = j;
+    fn place(&mut self, i: usize, entry: (f64, u32)) {
+        self.heap[i] = entry;
+        self.pos[entry.1 as usize] = i as u32;
     }
 }
 
@@ -242,15 +278,23 @@ const ACTIVITY_DECAY: f64 = 0.95;
 /// [`add_clause`](Solver::add_clause).
 #[derive(Debug)]
 pub struct Solver {
-    clauses: Vec<Clause>,
+    /// Flat clause arena: each clause is a length header followed by its
+    /// literal codes, and a clause reference (`cref`) is the offset of its
+    /// header. Positions 0 and 1 of a clause are its watched literals; for a
+    /// reason clause position 0 is the literal it implied.
+    arena: Vec<u32>,
+    /// Clauses in the arena, learnt clauses included.
+    num_clauses: usize,
     /// Watch lists indexed by literal code: clauses currently watching the
     /// literal (it sits in position 0 or 1 of the clause).
     watches: Vec<Vec<u32>>,
-    /// Current assignment per variable, `None` when unassigned.
-    assigns: Vec<Option<bool>>,
+    /// Current value of each literal, indexed by literal code; `None` when
+    /// its variable is unassigned.
+    vals: Vec<Option<bool>>,
     /// Decision level of each assigned variable.
     level: Vec<u32>,
-    /// Reason clause of each implied variable (`NO_REASON` for decisions).
+    /// Reason clause of each assigned variable (`NO_REASON` for decisions
+    /// and root units); stale once the variable is unassigned.
     reason: Vec<u32>,
     /// Assignment trail, in chronological order.
     trail: Vec<Lit>,
@@ -266,6 +310,9 @@ pub struct Solver {
     polarity: Vec<bool>,
     /// Conflict-analysis scratch: per-variable seen marks.
     seen: Vec<bool>,
+    /// Conflict-analysis scratch: the learnt clause under construction,
+    /// asserting literal first.
+    learnt: Vec<Lit>,
     /// Model of the most recent satisfiable solve.
     model: Vec<bool>,
     /// False once a root-level conflict proves the clause set unsatisfiable.
@@ -274,6 +321,10 @@ pub struct Solver {
     /// Conflicts over the solver's lifetime (restart bookkeeping and
     /// diagnostics).
     conflicts: u64,
+    /// Branching decisions over the solver's lifetime.
+    decisions: u64,
+    /// Literals propagated over the solver's lifetime.
+    propagations: u64,
     /// Cooperative interrupt flag: when it reads `true` the current solve
     /// stops with [`SolveResult::Unknown`] at its next conflict.
     interrupt: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
@@ -295,9 +346,10 @@ impl Solver {
     /// Creates an empty solver.
     pub fn new() -> Solver {
         Solver {
-            clauses: Vec::new(),
+            arena: Vec::new(),
+            num_clauses: 0,
             watches: Vec::new(),
-            assigns: Vec::new(),
+            vals: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
             trail: Vec::new(),
@@ -308,10 +360,13 @@ impl Solver {
             order: VarOrder::default(),
             polarity: Vec::new(),
             seen: Vec::new(),
+            learnt: Vec::new(),
             model: Vec::new(),
             ok: true,
             conflict_limit: None,
             conflicts: 0,
+            decisions: 0,
+            propagations: 0,
             interrupt: None,
             deadline: None,
             interrupted: false,
@@ -320,17 +375,28 @@ impl Solver {
 
     /// Number of variables created so far.
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.level.len()
     }
 
     /// Number of clauses in the database, learnt clauses included.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.num_clauses
     }
 
     /// Conflicts resolved over the solver's lifetime.
     pub fn conflicts(&self) -> u64 {
         self.conflicts
+    }
+
+    /// Branching decisions over the solver's lifetime (assumption
+    /// placements are not counted).
+    pub fn decisions(&self) -> u64 {
+        self.decisions
+    }
+
+    /// Literals propagated over the solver's lifetime.
+    pub fn propagations(&self) -> u64 {
+        self.propagations
     }
 
     /// Caps the number of conflicts a single solve call may spend before
@@ -376,8 +442,9 @@ impl Solver {
 
     /// Creates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var(self.assigns.len() as u32);
-        self.assigns.push(None);
+        let v = Var(self.level.len() as u32);
+        self.vals.push(None);
+        self.vals.push(None);
         self.level.push(0);
         self.reason.push(NO_REASON);
         self.activity.push(0.0);
@@ -390,7 +457,12 @@ impl Solver {
     }
 
     fn value_lit(&self, l: Lit) -> Option<bool> {
-        self.assigns[l.var().index()].map(|b| b == l.is_positive())
+        self.vals[l.code()]
+    }
+
+    /// The value of variable `v`: that of its positive literal, code `2v`.
+    fn var_value(&self, v: usize) -> Option<bool> {
+        self.vals[2 * v]
     }
 
     /// Adds a clause (a disjunction of literals). Returns `false` when the
@@ -434,24 +506,33 @@ impl Solver {
                 self.ok
             }
             _ => {
-                self.attach(clause);
+                self.attach(&clause);
                 true
             }
         }
     }
 
-    fn attach(&mut self, lits: Vec<Lit>) -> u32 {
-        let cref = self.clauses.len() as u32;
+    /// Appends a clause of at least two literals to the arena and watches
+    /// its first two.
+    fn attach(&mut self, lits: &[Lit]) -> u32 {
+        assert!(
+            self.arena.len() < NO_REASON as usize,
+            "clause arena exceeds u32 offsets"
+        );
+        let cref = self.arena.len() as u32;
+        self.arena.push(lits.len() as u32);
+        self.arena.extend(lits.iter().map(|l| l.0));
         self.watches[lits[0].code()].push(cref);
         self.watches[lits[1].code()].push(cref);
-        self.clauses.push(Clause { lits });
+        self.num_clauses += 1;
         cref
     }
 
     fn unchecked_enqueue(&mut self, l: Lit, reason: u32) {
         let v = l.var().index();
-        debug_assert!(self.assigns[v].is_none());
-        self.assigns[v] = Some(l.is_positive());
+        debug_assert!(self.var_value(v).is_none());
+        self.vals[l.code()] = Some(true);
+        self.vals[l.negated().code()] = Some(false);
         self.level[v] = self.trail_lim.len() as u32;
         self.reason[v] = reason;
         self.trail.push(l);
@@ -462,6 +543,7 @@ impl Solver {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
+            self.propagations += 1;
             let false_lit = p.negated();
             // The list is moved out because new watches may be pushed onto
             // *other* lists while this one is walked.
@@ -470,32 +552,32 @@ impl Solver {
             let mut conflict = None;
             'clauses: for i in 0..ws.len() {
                 let cref = ws[i];
-                let clause = &mut self.clauses[cref as usize];
-                if clause.lits[0] == false_lit {
-                    clause.lits.swap(0, 1);
+                let start = cref as usize + 1;
+                let end = start + self.arena[cref as usize] as usize;
+                let lits = &mut self.arena[start..end];
+                if lits[0] == false_lit.0 {
+                    lits.swap(0, 1);
                 }
-                debug_assert_eq!(clause.lits[1], false_lit);
-                let first = clause.lits[0];
-                if self.assigns[first.var().index()].map(|b| b == first.is_positive()) == Some(true)
-                {
+                debug_assert_eq!(lits[1], false_lit.0);
+                let first = Lit(lits[0]);
+                let first_value = self.vals[first.code()];
+                if first_value == Some(true) {
                     ws[kept] = cref;
                     kept += 1;
                     continue 'clauses;
                 }
                 // Look for an unfalsified replacement watch.
-                for k in 2..clause.lits.len() {
-                    let l = clause.lits[k];
-                    if self.assigns[l.var().index()].map(|b| b == l.is_positive()) != Some(false) {
-                        clause.lits.swap(1, k);
-                        let new_watch = clause.lits[1].code();
-                        self.watches[new_watch].push(cref);
+                for k in 2..lits.len() {
+                    if self.vals[lits[k] as usize] != Some(false) {
+                        lits.swap(1, k);
+                        self.watches[lits[1] as usize].push(cref);
                         continue 'clauses;
                     }
                 }
                 // No replacement: the clause is unit or conflicting.
                 ws[kept] = cref;
                 kept += 1;
-                if self.value_lit(first) == Some(false) {
+                if first_value == Some(false) {
                     conflict = Some(cref);
                     // Keep the remaining watchers untouched.
                     for j in i + 1..ws.len() {
@@ -523,33 +605,37 @@ impl Solver {
             for a in &mut self.activity {
                 *a *= 1e-100;
             }
+            self.order.rescale(1e-100);
             self.var_inc *= 1e-100;
         }
-        self.order.bump(v, &self.activity);
+        self.order.bump(v, self.activity[v]);
     }
 
-    /// 1UIP conflict analysis: derives the asserting learnt clause (first
-    /// literal asserted) and the backjump level.
-    fn analyze(&mut self, mut confl: u32) -> (Vec<Lit>, u32) {
+    /// 1UIP conflict analysis: derives the asserting learnt clause into
+    /// `self.learnt` (asserted literal first) and returns the backjump level.
+    fn analyze(&mut self, mut confl: u32) -> u32 {
         let current_level = self.trail_lim.len() as u32;
-        let mut learnt: Vec<Lit> = vec![Lit(0)]; // placeholder for the 1UIP
+        self.learnt.clear();
+        self.learnt.push(Lit(0)); // placeholder for the 1UIP
         let mut counter = 0usize;
         let mut index = self.trail.len();
         let mut p: Option<Lit> = None;
 
         loop {
-            let clause = &self.clauses[confl as usize];
-            // For a reason clause, lits[0] is the literal it implied — skip it.
+            let start = confl as usize + 1;
+            let end = start + self.arena[confl as usize] as usize;
+            // For a reason clause, position 0 is the literal it implied —
+            // skip it.
             let skip = usize::from(p.is_some());
-            for k in skip..clause.lits.len() {
-                let q = clause.lits[k];
+            for k in start + skip..end {
+                let q = Lit(self.arena[k]);
                 let v = q.var().index();
                 if !self.seen[v] && self.level[v] > 0 {
                     self.seen[v] = true;
                     if self.level[v] >= current_level {
                         counter += 1;
                     } else {
-                        learnt.push(q);
+                        self.learnt.push(q);
                     }
                 }
             }
@@ -567,21 +653,22 @@ impl Solver {
             counter -= 1;
             p = Some(lit);
             if counter == 0 {
-                learnt[0] = lit.negated();
+                self.learnt[0] = lit.negated();
                 break;
             }
             confl = self.reason[v];
             debug_assert_ne!(confl, NO_REASON, "non-UIP literal must be implied");
         }
         // Bump the variables that stay in the learnt clause, clear the marks.
-        let kept: Vec<usize> = learnt[1..].iter().map(|l| l.var().index()).collect();
-        for v in kept {
+        for i in 1..self.learnt.len() {
+            let v = self.learnt[i].var().index();
             self.bump_var(v);
             self.seen[v] = false;
         }
         // Backjump level: the highest level among the non-asserting literals;
         // that literal moves to the second watch position.
         let mut backjump = 0u32;
+        let learnt = &mut self.learnt;
         if learnt.len() > 1 {
             let mut max_i = 1;
             for i in 2..learnt.len() {
@@ -593,7 +680,7 @@ impl Solver {
             backjump = self.level[learnt[1].var().index()];
         }
         self.var_inc /= ACTIVITY_DECAY;
-        (learnt, backjump)
+        backjump
     }
 
     /// Undoes the trail down to (and keeping) `level`.
@@ -606,9 +693,9 @@ impl Solver {
             let l = self.trail[i];
             let v = l.var().index();
             self.polarity[v] = l.is_positive();
-            self.assigns[v] = None;
-            self.reason[v] = NO_REASON;
-            self.order.insert(v, &self.activity);
+            self.vals[l.code()] = None;
+            self.vals[l.negated().code()] = None;
+            self.order.insert(v, self.activity[v]);
         }
         self.trail.truncate(keep);
         self.trail_lim.truncate(level as usize);
@@ -616,8 +703,8 @@ impl Solver {
     }
 
     fn pick_branch_var(&mut self) -> Option<usize> {
-        while let Some(v) = self.order.pop(&self.activity) {
-            if self.assigns[v].is_none() {
+        while let Some(v) = self.order.pop() {
+            if self.var_value(v).is_none() {
                 return Some(v);
             }
         }
@@ -644,8 +731,8 @@ impl Solver {
         }
         // Seed the decision order with every unassigned variable.
         for v in 0..self.num_vars() {
-            if self.assigns[v].is_none() {
-                self.order.insert(v, &self.activity);
+            if self.var_value(v).is_none() {
+                self.order.insert(v, self.activity[v]);
             }
         }
         if self.propagate().is_some() {
@@ -676,13 +763,15 @@ impl Solver {
                     self.interrupted = true;
                     break SolveResult::Unknown;
                 }
-                let (learnt, backjump) = self.analyze(confl);
+                let backjump = self.analyze(confl);
                 self.cancel_until(backjump);
-                if learnt.len() == 1 {
-                    self.unchecked_enqueue(learnt[0], NO_REASON);
+                let asserted = self.learnt[0];
+                if self.learnt.len() == 1 {
+                    self.unchecked_enqueue(asserted, NO_REASON);
                 } else {
-                    let asserted = learnt[0];
-                    let cref = self.attach(learnt);
+                    let learnt = std::mem::take(&mut self.learnt);
+                    let cref = self.attach(&learnt);
+                    self.learnt = learnt;
                     self.unchecked_enqueue(asserted, cref);
                 }
                 continue;
@@ -728,13 +817,14 @@ impl Solver {
             let decision = match next {
                 Some(p) => p,
                 None => match self.pick_branch_var() {
-                    Some(v) => Lit::new(Var(v as u32), self.polarity[v]),
+                    Some(v) => {
+                        self.decisions += 1;
+                        Lit::new(Var(v as u32), self.polarity[v])
+                    }
                     None => {
                         // Complete assignment: record the model.
-                        self.model = self
-                            .assigns
-                            .iter()
-                            .map(|a| a.expect("complete assignment"))
+                        self.model = (0..self.num_vars())
+                            .map(|v| self.var_value(v) == Some(true))
                             .collect();
                         break SolveResult::Sat;
                     }
@@ -894,6 +984,20 @@ mod tests {
     fn luby_prefix_matches_the_literature() {
         let prefix: Vec<u64> = (1..=15).map(luby).collect();
         assert_eq!(prefix, [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]);
+    }
+
+    #[test]
+    fn counters_track_decisions_and_propagations() {
+        // The unit x1 propagates x2 = 0 and x3 = 1 at the root: three
+        // literals propagated, no branching.
+        let clauses: &[&[i32]] = &[&[1, 2], &[-1, -2], &[2, 3], &[-2, -3], &[1]];
+        let (mut s, _) = solver_with(3, clauses);
+        assert_eq!(s.solve(), SolveResult::Sat);
+        assert_eq!((s.decisions(), s.propagations(), s.conflicts()), (0, 3, 0));
+        // A free variable costs one decision (and its propagation).
+        let (mut s, _) = solver_with(1, &[]);
+        assert_eq!(s.solve(), SolveResult::Sat);
+        assert_eq!((s.decisions(), s.propagations()), (1, 1));
     }
 
     #[test]

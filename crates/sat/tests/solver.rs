@@ -1,7 +1,7 @@
 //! Integration tests for the CDCL core: DIMACS fixtures, a differential
-//! property family against the naive DPLL reference, and the regression
+//! property family against the naive DPLL reference, the regression
 //! pinning that UNSAT under assumptions never leaks into an unconditioned
-//! verdict.
+//! verdict, and a golden table pinning the search itself.
 
 use proptest::prelude::*;
 use sat::reference::dpll_satisfiable;
@@ -245,4 +245,154 @@ fn conflict_limited_unknown_is_not_a_verdict_and_is_recoverable() {
     assert_eq!(solver.solve(), SolveResult::Unknown);
     solver.set_conflict_limit(None);
     assert_eq!(solver.solve(), SolveResult::Unsat);
+}
+
+// ---------------------------------------------------------------------------
+// Golden search trace: the exact search, not only the verdicts
+// ---------------------------------------------------------------------------
+
+/// SplitMix64: a self-contained seeded generator, so the instances below
+/// never move with a dependency.
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn lit(&mut self, num_vars: usize) -> Lit {
+        let r = self.next();
+        Lit::new(Var::from_index((r >> 1) as usize % num_vars), r & 1 == 0)
+    }
+}
+
+/// A seeded random 3-SAT instance at the hard clause/variable ratio 4.26,
+/// three distinct variables per clause.
+fn random_3sat(rng: &mut SplitMix64, num_vars: usize) -> Solver {
+    let mut solver = Solver::new();
+    for _ in 0..num_vars {
+        solver.new_var();
+    }
+    let num_clauses = (num_vars as f64 * 4.26).round() as usize;
+    for _ in 0..num_clauses {
+        let mut clause: Vec<Lit> = Vec::with_capacity(3);
+        while clause.len() < 3 {
+            let l = rng.lit(num_vars);
+            if clause.iter().all(|c| c.var() != l.var()) {
+                clause.push(l);
+            }
+        }
+        solver.add_clause(&clause);
+    }
+    solver
+}
+
+/// FNV-1a over the model bits of a `Sat` answer, 0 otherwise.
+fn model_checksum(solver: &Solver, result: SolveResult) -> u64 {
+    if result != SolveResult::Sat {
+        return 0;
+    }
+    solver.model().iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Runs the golden workload: 40 random 3-SAT solves, three assumption
+/// solves on each of the first four solvers (same solver, so learnt clauses
+/// carry over), and one conflict-limited solve. One
+/// `(result, lifetime conflicts, model checksum)` row per call.
+fn golden_trace() -> Vec<(SolveResult, u64, u64)> {
+    let mut rows = Vec::new();
+    let mut rng = SplitMix64(0x5eed_2013);
+    for i in 0..40 {
+        let num_vars = 50 + 10 * (i % 10);
+        let mut solver = random_3sat(&mut rng, num_vars);
+        let result = solver.solve();
+        rows.push((result, solver.conflicts(), model_checksum(&solver, result)));
+        if i < 4 {
+            for _ in 0..3 {
+                let assumptions: Vec<Lit> = (0..4).map(|_| rng.lit(num_vars)).collect();
+                let result = solver.solve_with_assumptions(&assumptions);
+                rows.push((result, solver.conflicts(), model_checksum(&solver, result)));
+            }
+        }
+    }
+    let mut solver = random_3sat(&mut rng, 200);
+    solver.set_conflict_limit(Some(500));
+    let result = solver.solve();
+    rows.push((result, solver.conflicts(), model_checksum(&solver, result)));
+    rows
+}
+
+/// Recorded on the solver before its flat-arena layout and pinned since: a
+/// change to decisions, conflicts or models anywhere in the search shows
+/// up here. A deliberate search change updates this table in the same
+/// commit.
+const GOLDEN: [(SolveResult, u64, u64); 53] = [
+    (SolveResult::Sat, 28, 0xe5d4027281032ca0),
+    (SolveResult::Unsat, 31, 0),
+    (SolveResult::Sat, 32, 0xe5d4027281032ca0),
+    (SolveResult::Unsat, 34, 0),
+    (SolveResult::Sat, 58, 0x6207b301b2cf7808),
+    (SolveResult::Sat, 58, 0x6207b301b2cf7808),
+    (SolveResult::Unsat, 73, 0),
+    (SolveResult::Unsat, 79, 0),
+    (SolveResult::Unsat, 206, 0),
+    (SolveResult::Unsat, 206, 0),
+    (SolveResult::Unsat, 206, 0),
+    (SolveResult::Unsat, 206, 0),
+    (SolveResult::Sat, 96, 0x41ec4c78b93e776f),
+    (SolveResult::Unsat, 105, 0),
+    (SolveResult::Unsat, 175, 0),
+    (SolveResult::Sat, 187, 0xb73d299069c36e4f),
+    (SolveResult::Sat, 239, 0xd61beb3b007cee51),
+    (SolveResult::Sat, 522, 0x99f33415e1a298f1),
+    (SolveResult::Unsat, 765, 0),
+    (SolveResult::Sat, 196, 0x22eb19915c191d3b),
+    (SolveResult::Sat, 1129, 0x341a525418c51a46),
+    (SolveResult::Unsat, 2568, 0),
+    (SolveResult::Unsat, 48, 0),
+    (SolveResult::Sat, 14, 0x9ee7feea34492a67),
+    (SolveResult::Sat, 127, 0xdef4a8351a2ad7e5),
+    (SolveResult::Sat, 183, 0x30cdb01c36b3bd5f),
+    (SolveResult::Sat, 5, 0xed496d83707bb90c),
+    (SolveResult::Sat, 662, 0x82d7978a8a252ad0),
+    (SolveResult::Unsat, 889, 0),
+    (SolveResult::Unsat, 896, 0),
+    (SolveResult::Sat, 680, 0x1683b3f530066c90),
+    (SolveResult::Sat, 3616, 0x7deee6f0f5668bc8),
+    (SolveResult::Sat, 22, 0x4a198f06a94f7646),
+    (SolveResult::Unsat, 63, 0),
+    (SolveResult::Unsat, 138, 0),
+    (SolveResult::Unsat, 236, 0),
+    (SolveResult::Sat, 271, 0xa432f1ac61931dcc),
+    (SolveResult::Unsat, 639, 0),
+    (SolveResult::Unsat, 559, 0),
+    (SolveResult::Unsat, 1307, 0),
+    (SolveResult::Unsat, 1827, 0),
+    (SolveResult::Sat, 2624, 0x8b06b7a7e2b409f5),
+    (SolveResult::Sat, 24, 0xebfaca13681fdeb7),
+    (SolveResult::Sat, 49, 0x7c0ba1954e33db7b),
+    (SolveResult::Unsat, 141, 0),
+    (SolveResult::Sat, 292, 0x3b26c60a85d4d2e2),
+    (SolveResult::Unsat, 391, 0),
+    (SolveResult::Unsat, 344, 0),
+    (SolveResult::Sat, 564, 0xc46862fff6f425b0),
+    (SolveResult::Unsat, 1297, 0),
+    (SolveResult::Unsat, 713, 0),
+    (SolveResult::Sat, 1352, 0x520d6c58dcdbf624),
+    (SolveResult::Unknown, 501, 0),
+];
+
+#[test]
+fn search_trace_matches_the_golden_table() {
+    let rows = golden_trace();
+    assert_eq!(rows.len(), GOLDEN.len());
+    for (i, (got, want)) in rows.iter().zip(&GOLDEN).enumerate() {
+        assert_eq!(got, want, "golden row {i}");
+    }
 }
