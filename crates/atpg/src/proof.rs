@@ -39,6 +39,25 @@
 //! built deterministically, so the portfolio keeps the thread-invariance
 //! guarantee.
 //!
+//! The escalations share one **test pool** of replayed SAT models, owned by
+//! the campaign (a worker whose engines are dropped after a caught panic
+//! loses no tests). [`SatProver::prove`] defines the pool rule sequentially;
+//! the campaign reproduces it exactly under any thread count by ordering the
+//! escalations by schedule position (collapse pass 1, then pass 2):
+//!
+//! * a worker grades its fault against the *committed* pool — the models of
+//!   earlier positions, a subset of the sequential pool at its position, so
+//!   a hit is a sequential hit too — and on a miss solves and publishes its
+//!   verdict and model;
+//! * a commit step walks the positions in order. A model is appended only
+//!   when the pool before its position does not already detect its fault.
+//!   Every verdict the solver did not conclude (any abort reason, or an
+//!   unsupported encoding) is re-graded against that pool, so an abort
+//!   becomes `TestExists` under every thread count or under none. A
+//!   `ProvenUntestable` verdict that a pool test detects means the engines
+//!   disagree: like a failed model replay it is withheld as an abort, never
+//!   reported proven.
+//!
 //! The fan-out is also the campaign's *survivability* layer
 //! ([`prove_faults_campaign`]): a [`Budget`] bounds the run with a
 //! cooperative cancel token, a whole-stage deadline and a per-fault
@@ -51,16 +70,22 @@
 //! only what never concluded. The checkpoint is applied by pre-seeding the
 //! result slots *before* scheduling and the collapse classes are computed
 //! over the full population, so a resumed run replays the uninterrupted
-//! schedule exactly — the merged classification is bit-identical.
+//! schedule exactly — the merged classification is bit-identical. Escalation
+//! verdicts are checkpointed by the commit step, in schedule order and with
+//! their pooled models, so the resumed run re-commits the identical pool;
+//! after a timeout or a panic (whose fault the uninterrupted run may have
+//! pooled a model for) no further escalation is checkpointed.
 
 use crate::budget::{AbortReason, Budget, CancelToken, FailurePlan};
 use crate::checkpoint::{Checkpoint, CheckpointError};
-use crate::cnf::{SatProver, SatVerdict};
+use crate::cnf::{PoolTest, SatCounters, SatProver, SatVerdict};
 use crate::constant::ConstraintSet;
 use crate::podem::{Podem, PodemConfig, ProofOutcome};
 use faultmodel::{collapse_with_barriers, FaultList, StuckAt};
 use netlist::{graph, Netlist};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Mutex, RwLock};
 use std::time::Instant;
 
 /// Faults claimed per cursor bump: small enough to balance a skewed workload
@@ -193,7 +218,8 @@ pub struct EngineBreakdown {
     /// PODEM verdicts: aborted (includes SAT escalations declined as
     /// unsupported).
     pub podem_aborted: usize,
-    /// SAT verdicts: test exists (model replayed through simulation).
+    /// SAT verdicts: test exists (a model replayed through simulation, or a
+    /// pooled earlier model that detects the fault).
     pub sat_test_exists: usize,
     /// SAT verdicts: proven untestable (UNSAT under the mission assumptions).
     pub sat_proven: usize,
@@ -351,6 +377,41 @@ struct Engines<'a> {
     sat: Option<SatProver<'a>>,
 }
 
+/// What a worker publishes to the ordered commit for one worklist
+/// position. The SAT escalations (`PoolHit`, `Solved`) are stored and
+/// checkpointed by the commit.
+enum Published {
+    /// The slot was seeded from the checkpoint.
+    Loaded,
+    /// A verdict no SAT escalation produced, already stored and
+    /// checkpointed by the worker.
+    Stored(EngineOutcome),
+    /// A test of the committed pool detected the fault.
+    PoolHit,
+    /// None of the first `graded` pool tests detected the fault, so the
+    /// solver ran; `test` is its replayed model.
+    Solved {
+        outcome: EngineOutcome,
+        graded: usize,
+        test: Option<PoolTest>,
+    },
+}
+
+/// The ordered commit of the current worklist: published results wait in
+/// `pending`, by worklist position, until every earlier position is
+/// committed.
+struct Commit {
+    pending: HashMap<usize, Published>,
+    /// First uncommitted position.
+    next: usize,
+    /// Escalations the pool concluded.
+    pool_hits: u64,
+    /// Cleared by the first timeout or panic: from there on the pool may
+    /// lack a model the uninterrupted run has, so escalation verdicts are no
+    /// longer checkpointed.
+    reproducible: bool,
+}
+
 /// One campaign's shared inputs and its per-fault result slots, which hold
 /// `encode`d verdicts and stay 0 until written.
 ///
@@ -364,17 +425,35 @@ struct Campaign<'a> {
     budget: &'a Budget,
     checkpoint: Option<&'a Checkpoint>,
     results: Vec<AtomicU8>,
+    /// The test pool: every committed SAT model, in schedule order.
+    pool: RwLock<Vec<PoolTest>>,
+    commit: Mutex<Commit>,
+    /// SAT work of the engines already retired.
+    counters: Mutex<SatCounters>,
+}
+
+fn deterministic(outcome: EngineOutcome) -> bool {
+    outcome.reason.is_none_or(AbortReason::is_deterministic)
 }
 
 impl<'a> Campaign<'a> {
+    fn sat_prover(&self) -> SatProver<'a> {
+        SatProver::new(
+            self.netlist,
+            self.constraints,
+            self.config.sat_conflict_limit,
+        )
+        .expect("levelization already validated")
+    }
+
     /// Proves fault `index` on the portfolio: PODEM first, SAT escalation on
-    /// abort (when enabled).
+    /// abort (when enabled) — the committed test pool, then the solver.
     fn prove_one(
         &self,
         podem: &mut Podem<'a>,
         sat_engine: &mut Option<SatProver<'a>>,
         index: usize,
-    ) -> EngineOutcome {
+    ) -> Published {
         let (config, budget) = (self.config, self.budget);
         let deadline = budget.fault_deadline(Instant::now());
         let interrupt = budget.cancel.as_ref().map(CancelToken::flag);
@@ -386,12 +465,13 @@ impl<'a> Campaign<'a> {
                 // A simulated hang: block until a budget limit trips. With no
                 // limit configured nothing ever would, so give up immediately
                 // instead of wedging the harness.
+                let timeout = EngineOutcome::aborted(ProofEngine::Podem, AbortReason::Timeout);
                 if budget.cancel.is_none() && deadline.is_none() {
-                    return EngineOutcome::aborted(ProofEngine::Podem, AbortReason::Timeout);
+                    return Published::Stored(timeout);
                 }
                 loop {
                     if budget.stage_stopped() || deadline.is_some_and(|d| Instant::now() >= d) {
-                        return EngineOutcome::aborted(ProofEngine::Podem, AbortReason::Timeout);
+                        return Published::Stored(timeout);
                     }
                     std::thread::sleep(std::time::Duration::from_millis(1));
                 }
@@ -401,20 +481,30 @@ impl<'a> Campaign<'a> {
         let fault = self.faults[index];
         let outcome = podem.prove(fault);
         if outcome != ProofOutcome::Aborted {
-            return EngineOutcome::concluded(outcome, ProofEngine::Podem);
+            return Published::Stored(EngineOutcome::concluded(outcome, ProofEngine::Podem));
         }
         if podem.last_search_interrupted() {
             // A wall-clock give-up must not escalate: the SAT attempt would
             // blow the very deadline that stopped the search.
-            return EngineOutcome::aborted(ProofEngine::Podem, AbortReason::Timeout);
+            return Published::Stored(EngineOutcome::aborted(
+                ProofEngine::Podem,
+                AbortReason::Timeout,
+            ));
         }
         if !config.use_sat {
-            return EngineOutcome::aborted(ProofEngine::Podem, AbortReason::Backtracks);
+            return Published::Stored(EngineOutcome::aborted(
+                ProofEngine::Podem,
+                AbortReason::Backtracks,
+            ));
         }
-        let sat = sat_engine.get_or_insert_with(|| {
-            SatProver::new(self.netlist, self.constraints, config.sat_conflict_limit)
-                .expect("levelization already validated")
-        });
+        let sat = sat_engine.get_or_insert_with(|| self.sat_prover());
+        let graded = {
+            let pool = self.pool.read().expect("test pool poisoned");
+            if sat.pool_detects(fault, &pool) {
+                return Published::PoolHit;
+            }
+            pool.len()
+        };
         sat.set_search_limits(interrupt, deadline);
         if config
             .failure_plan
@@ -422,7 +512,8 @@ impl<'a> Campaign<'a> {
         {
             sat.corrupt_next_model();
         }
-        match sat.prove(fault) {
+        let (verdict, test) = sat.solve(fault);
+        let outcome = match verdict {
             SatVerdict::TestExists => {
                 EngineOutcome::concluded(ProofOutcome::TestExists, ProofEngine::Sat)
             }
@@ -438,6 +529,11 @@ impl<'a> Campaign<'a> {
             SatVerdict::Unsupported => {
                 EngineOutcome::aborted(ProofEngine::Podem, AbortReason::Unsupported)
             }
+        };
+        Published::Solved {
+            outcome,
+            graded,
+            test,
         }
     }
 
@@ -449,9 +545,12 @@ impl<'a> Campaign<'a> {
     /// caught, recorded as [`AbortReason::Panicked`], and the (possibly
     /// poisoned — PODEM's reusable buffers are moved out during a search)
     /// engines are dropped so the next fault rebuilds them from scratch.
-    fn prove_guarded(&self, engines: &mut Engines<'a>, index: usize) -> EngineOutcome {
+    fn prove_guarded(&self, engines: &mut Engines<'a>, index: usize) -> Published {
         if self.budget.stage_stopped() {
-            return EngineOutcome::aborted(ProofEngine::Podem, AbortReason::Timeout);
+            return Published::Stored(EngineOutcome::aborted(
+                ProofEngine::Podem,
+                AbortReason::Timeout,
+            ));
         }
         let podem = engines.podem.get_or_insert_with(|| {
             Podem::new(self.netlist, self.constraints, self.config.podem_config())
@@ -462,39 +561,136 @@ impl<'a> Campaign<'a> {
             self.prove_one(podem, sat, index)
         }));
         attempt.unwrap_or_else(|_| {
-            *engines = Engines::default();
-            EngineOutcome::aborted(ProofEngine::Podem, AbortReason::Panicked)
+            self.retire(engines);
+            Published::Stored(EngineOutcome::aborted(
+                ProofEngine::Podem,
+                AbortReason::Panicked,
+            ))
         })
     }
 
-    /// Proves fault `index` unless its slot already holds a verdict
-    /// (pre-seeded from a checkpoint), and appends a fresh verdict to the
-    /// checkpoint.
-    fn prove_slot(&self, engines: &mut Engines<'a>, index: usize) {
-        if self.results[index].load(Ordering::Relaxed) != 0 {
-            return;
+    /// Drops a worker's engines, keeping their SAT counters.
+    fn retire(&self, engines: &mut Engines<'a>) {
+        if let Some(sat) = engines.sat.take() {
+            *self.counters.lock().expect("counters poisoned") += sat.counters();
         }
-        let r = self.prove_guarded(engines, index);
-        self.results[index].store(encode(r), Ordering::Relaxed);
-        if let Some(cp) = self.checkpoint {
-            cp.record(self.faults[index], r);
+        *engines = Engines::default();
+    }
+
+    /// Proves the fault at `position` of `worklist` unless its slot already
+    /// holds a verdict (pre-seeded from a checkpoint), and publishes the
+    /// result to the ordered commit. A verdict without a SAT escalation is
+    /// stored and checkpointed at once.
+    fn prove_position(&self, engines: &mut Engines<'a>, worklist: &[usize], position: usize) {
+        let index = worklist[position];
+        let fault = self.faults[index];
+        let published = if self.results[index].load(Ordering::Relaxed) != 0 {
+            Published::Loaded
+        } else {
+            let published = self.prove_guarded(engines, index);
+            if let Published::Stored(r) = published {
+                self.results[index].store(encode(r), Ordering::Relaxed);
+                if let Some(cp) = self.checkpoint {
+                    cp.record(fault, r);
+                }
+            }
+            published
+        };
+        let mut guard = self.commit.lock().expect("commit poisoned");
+        let commit = &mut *guard;
+        commit.pending.insert(position, published);
+        while let Some(next) = commit.pending.remove(&commit.next) {
+            self.commit_one(commit, &mut engines.sat, worklist[commit.next], next);
+            commit.next += 1;
+        }
+    }
+
+    /// Commits the next position in schedule order (see the module docs),
+    /// grading on the committing worker's SAT engine.
+    fn commit_one(
+        &self,
+        commit: &mut Commit,
+        sat: &mut Option<SatProver<'a>>,
+        index: usize,
+        published: Published,
+    ) {
+        let fault = self.faults[index];
+        let (outcome, test) = match published {
+            Published::Loaded => {
+                // The original run appended this model at this position.
+                if let Some(model) = self.checkpoint.and_then(|cp| cp.test(fault)) {
+                    let grader = sat.get_or_insert_with(|| self.sat_prover());
+                    let test = grader.pool_test(model.to_vec());
+                    self.pool.write().expect("test pool poisoned").push(test);
+                }
+                return;
+            }
+            Published::Stored(outcome) => {
+                commit.reproducible &= deterministic(outcome);
+                return;
+            }
+            Published::PoolHit => (None, None),
+            Published::Solved {
+                outcome,
+                graded,
+                test,
+            } => {
+                let pool = self.pool.read().expect("test pool poisoned");
+                let detected = pool.len() > graded
+                    && sat
+                        .get_or_insert_with(|| self.sat_prover())
+                        .pool_detects(fault, &pool[graded..]);
+                let refuted = detected && outcome.outcome == ProofOutcome::ProvenUntestable;
+                debug_assert!(!refuted, "a pool test detects SAT-proven {fault:?}");
+                if refuted {
+                    // The engines disagree: withhold the proof, as a failed
+                    // model replay does.
+                    let withheld =
+                        EngineOutcome::aborted(ProofEngine::Sat, AbortReason::Unsupported);
+                    (Some(withheld), None)
+                } else if detected {
+                    (None, None)
+                } else {
+                    (Some(outcome), test)
+                }
+            }
+        };
+        let outcome = outcome.unwrap_or_else(|| {
+            commit.pool_hits += 1;
+            EngineOutcome::concluded(ProofOutcome::TestExists, ProofEngine::Sat)
+        });
+        self.results[index].store(encode(outcome), Ordering::Relaxed);
+        commit.reproducible &= deterministic(outcome);
+        if let Some(cp) = self.checkpoint.filter(|_| commit.reproducible) {
+            match &test {
+                Some(test) => cp.record_test(fault, outcome, &test.assignment),
+                None => cp.record(fault, outcome),
+            }
+        }
+        if let Some(test) = test {
+            self.pool.write().expect("test pool poisoned").push(test);
         }
     }
 
     /// Proves every fault in `worklist` (indices into the fault list) with a
-    /// fan-out over scoped worker threads. Below two resolved workers the
-    /// faults are proven on `single`, kept alive across calls — the collapse
-    /// schedule invokes this twice (representatives, then the members of
-    /// aborted classes) and engine construction is design-sized (SCOAP,
-    /// baseline propagation).
+    /// fan-out over scoped worker threads, committing in worklist order.
+    /// Below two resolved workers the faults are proven on `single`, kept
+    /// alive across calls — the collapse schedule invokes this twice
+    /// (representatives, then the members of aborted classes) and engine
+    /// construction is design-sized (SCOAP, baseline propagation).
     fn prove_worklist(&self, worklist: &[usize], single: &mut Engines<'a>) {
         if worklist.is_empty() {
             return;
         }
+        {
+            let mut commit = self.commit.lock().expect("commit poisoned");
+            debug_assert!(commit.pending.is_empty());
+            commit.next = 0;
+        }
         let workers = self.config.resolve_threads(worklist.len());
         if workers <= 1 {
-            for &i in worklist {
-                self.prove_slot(single, i);
+            for position in 0..worklist.len() {
+                self.prove_position(single, worklist, position);
             }
             return;
         }
@@ -511,10 +707,11 @@ impl<'a> Campaign<'a> {
                         }
                         let start = chunk * CHUNK;
                         let end = (start + CHUNK).min(worklist.len());
-                        for &i in &worklist[start..end] {
-                            self.prove_slot(&mut engines, i);
+                        for position in start..end {
+                            self.prove_position(&mut engines, worklist, position);
                         }
                     }
+                    self.retire(&mut engines);
                 });
             }
         });
@@ -522,10 +719,20 @@ impl<'a> Campaign<'a> {
 
     /// Decodes the filled result slots and surfaces any deferred checkpoint
     /// write error.
-    fn finish(self, from_checkpoint: usize) -> Result<CampaignOutcome, CampaignError> {
+    fn finish(
+        self,
+        from_checkpoint: usize,
+        single: Engines<'a>,
+    ) -> Result<CampaignOutcome, CampaignError> {
         if let Some(cp) = self.checkpoint {
             cp.sync()?;
         }
+        let mut sat = self.counters.into_inner().expect("counters poisoned");
+        if let Some(prover) = single.sat {
+            sat += prover.counters();
+        }
+        sat.pool_hits = self.commit.into_inner().expect("commit poisoned").pool_hits;
+        sat.pool_tests = self.pool.into_inner().expect("test pool poisoned").len() as u64;
         let outcomes = self
             .results
             .into_iter()
@@ -534,6 +741,7 @@ impl<'a> Campaign<'a> {
         Ok(CampaignOutcome {
             outcomes,
             from_checkpoint,
+            sat,
         })
     }
 }
@@ -572,6 +780,10 @@ pub struct CampaignOutcome {
     /// Faults whose verdict was replayed from the checkpoint instead of
     /// being proven by this run.
     pub from_checkpoint: usize,
+    /// SAT work summed over the workers' provers. `pool_hits` counts the
+    /// escalations the committed test pool concluded and `pool_tests` the
+    /// pool's final size, both independent of the thread count.
+    pub sat: SatCounters,
 }
 
 /// Proves (or fails to prove) untestability for every fault in `faults` under
@@ -585,7 +797,10 @@ pub struct CampaignOutcome {
 /// individually in a second pass — an abort never expands. The faults are
 /// fanned out across scoped worker threads according to `config.threads`;
 /// per-fault outcomes do not depend on the fan-out, so any thread count
-/// produces the same vector.
+/// produces the same vector — including the SAT escalations the test pool
+/// concludes, which the ordered commit decides exactly as one
+/// [`SatProver::prove`] per escalation in schedule order would (see the
+/// module docs).
 ///
 /// The campaign-survivability layer wraps every proof: a cooperative
 /// [`Budget`] (cancel token, stage deadline, per-fault limit), per-fault
@@ -621,6 +836,7 @@ pub fn prove_faults_campaign(
         return Ok(CampaignOutcome {
             outcomes: Vec::new(),
             from_checkpoint: 0,
+            sat: SatCounters::default(),
         });
     }
     let campaign = Campaign {
@@ -631,11 +847,26 @@ pub fn prove_faults_campaign(
         budget,
         checkpoint,
         results: (0..faults.len()).map(|_| AtomicU8::new(0)).collect(),
+        pool: RwLock::new(Vec::new()),
+        commit: Mutex::new(Commit {
+            pending: HashMap::new(),
+            next: 0,
+            pool_hits: 0,
+            reproducible: true,
+        }),
+        counters: Mutex::new(SatCounters::default()),
     };
     let mut from_checkpoint = 0usize;
     if let Some(cp) = checkpoint {
         for (i, &fault) in faults.iter().enumerate() {
-            if let Some(r) = cp.concluded(fault) {
+            // A pooled model naming a net the design does not have is a
+            // damaged record: re-prove the fault, which recreates its model.
+            let damaged = cp.test(fault).is_some_and(|model| {
+                model
+                    .iter()
+                    .any(|(net, _)| net.index() >= netlist.num_nets())
+            });
+            if let Some(r) = cp.concluded(fault).filter(|_| !damaged) {
                 campaign.results[i].store(encode(r), Ordering::Relaxed);
                 from_checkpoint += 1;
             }
@@ -646,7 +877,7 @@ pub fn prove_faults_campaign(
     if !config.use_collapse {
         let worklist: Vec<usize> = (0..faults.len()).collect();
         campaign.prove_worklist(&worklist, &mut single);
-        return campaign.finish(from_checkpoint);
+        return campaign.finish(from_checkpoint, single);
     }
 
     // Collapse-schedule: group the population by structural equivalence
@@ -701,7 +932,7 @@ pub fn prove_faults_campaign(
         }
     }
     campaign.prove_worklist(&second_pass, &mut single);
-    campaign.finish(from_checkpoint)
+    campaign.finish(from_checkpoint, single)
 }
 
 #[cfg(test)]

@@ -3,7 +3,8 @@
 //! scalar reference simulator, PODEM tests really detect their target fault,
 //! collapsed-equivalent faults share their detection outcome, and the SAT
 //! proof backend agrees with unlimited-budget PODEM and with exhaustive
-//! enumeration under random mission constraints.
+//! enumeration under random mission constraints — with or without its test
+//! pool of earlier models.
 
 use atpg::proof::{prove_faults_campaign, ProofConfig};
 use atpg::{
@@ -497,6 +498,66 @@ proptest! {
                 fault
             );
         }
+    }
+
+    /// The test pool changes no concluded verdict: on random netlists under
+    /// random forces (definite and `X`) and a small conflict budget, one
+    /// prover reused over the universe — its pool filling with replayed
+    /// models — agrees with a fresh prover per fault on every fault the
+    /// fresh prover concludes. The only difference allowed is a fresh
+    /// abort (or declined encoding) that a pool test turns into a test.
+    #[test]
+    fn pooled_prover_agrees_with_a_fresh_prover_per_fault(
+        spec in prop::collection::vec(any::<u8>(), 4..24),
+        tie_mask in 0u8..64,
+        tie_values in 0u8..64,
+        forces in prop::collection::vec(any::<u8>(), 0..3),
+        conflict_limit in 0u64..4,
+    ) {
+        let (netlist, inputs, _) = build_circuit(&spec);
+        let mut constraints = ConstraintSet::full_scan();
+        for (i, &net) in inputs.iter().enumerate() {
+            if (tie_mask >> i) & 1 == 1 {
+                constraints.tie_net(net, (tie_values >> i) & 1 == 1);
+            }
+        }
+        let gate_nets: Vec<NetId> = netlist
+            .live_cells()
+            .filter(|(_, cell)| cell.kind().is_combinational())
+            .filter_map(|(_, cell)| cell.output())
+            .collect();
+        for &code in &forces {
+            let net = gate_nets[code as usize % gate_nets.len()];
+            let value = [Logic::Zero, Logic::One, Logic::X][code as usize % 3];
+            constraints.forced_nets.insert(net, value);
+        }
+        let mut pooled = SatProver::new(&netlist, &constraints, conflict_limit).unwrap();
+        let mut conversions = 0u64;
+        for &fault in FaultList::full_universe(&netlist).faults() {
+            let fresh = SatProver::new(&netlist, &constraints, conflict_limit)
+                .unwrap()
+                .prove(fault);
+            let reused = pooled.prove(fault);
+            match fresh {
+                SatVerdict::TestExists | SatVerdict::ProvenUntestable => prop_assert_eq!(
+                    reused,
+                    fresh,
+                    "the pool changed a concluded verdict on {:?}",
+                    fault
+                ),
+                SatVerdict::Aborted | SatVerdict::Unsupported => {
+                    prop_assert!(
+                        reused == fresh || reused == SatVerdict::TestExists,
+                        "{:?}: fresh {:?}, pooled {:?}",
+                        fault,
+                        fresh,
+                        reused
+                    );
+                    conversions += u64::from(reused != fresh);
+                }
+            }
+        }
+        prop_assert!(pooled.counters().pool_hits >= conversions);
     }
 
     /// The cone-clipped, SCOAP-guided PODEM engine returns exactly the same

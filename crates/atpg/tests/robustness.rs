@@ -3,12 +3,14 @@
 //! cancellation, and the checkpoint/resume contract — an interrupted
 //! campaign, resumed from its checkpoint, must classify the fault
 //! population bit-identically to an uninterrupted run and re-prove only the
-//! faults the interrupted run never concluded.
+//! faults the interrupted run never concluded. The SAT test pool keeps both
+//! contracts: the aborts it converts are the same under every thread count
+//! and after a resume.
 
 use atpg::{
-    campaign_fingerprint, prove_faults_campaign, AbortReason, Budget, CancelToken, Checkpoint,
-    ConstraintSet, EngineBreakdown, FailurePlan, ProofConfig, ProofEngine, ProofOutcome, SatProver,
-    SatVerdict,
+    campaign_fingerprint, prove_faults_campaign, AbortReason, Budget, CampaignOutcome, CancelToken,
+    Checkpoint, ConstraintSet, EngineBreakdown, EngineOutcome, FailurePlan, Podem, PodemConfig,
+    ProofConfig, ProofEngine, ProofOutcome, SatProver, SatVerdict,
 };
 use faultmodel::{FaultList, StuckAt};
 use netlist::{NetId, Netlist, NetlistBuilder};
@@ -474,4 +476,234 @@ fn fault_timeout_bounds_each_fault_but_not_the_campaign() {
         .outcomes
         .iter()
         .any(|o| o.engine == ProofEngine::Podem));
+}
+
+/// A campaign whose tight budgets leave escalations that only the test pool
+/// concludes: no PODEM backtracks, one SAT conflict per escalation.
+fn pooled_config(threads: usize) -> ProofConfig {
+    ProofConfig {
+        backtrack_limit: 0,
+        threads,
+        use_sat: true,
+        sat_conflict_limit: 1,
+        ..ProofConfig::default()
+    }
+}
+
+fn campaign(
+    netlist: &Netlist,
+    faults: &[StuckAt],
+    config: &ProofConfig,
+    budget: &Budget,
+    checkpoint: Option<&Checkpoint>,
+) -> CampaignOutcome {
+    prove_faults_campaign(
+        netlist,
+        &ConstraintSet::full_scan(),
+        faults,
+        config,
+        budget,
+        checkpoint,
+    )
+    .unwrap()
+}
+
+#[test]
+fn pool_converted_aborts_are_thread_invariant() {
+    let netlist = build_circuit(60);
+    let faults = universe(&netlist);
+    let reference = campaign(
+        &netlist,
+        &faults,
+        &pooled_config(1),
+        &Budget::unlimited(),
+        None,
+    );
+    // The fixture converts aborts: escalated faults a fresh prover leaves
+    // conflict-limited that the campaign's pool concludes as tests.
+    let converted = faults
+        .iter()
+        .zip(&reference.outcomes)
+        .filter(|(&fault, o)| {
+            o.engine == ProofEngine::Sat
+                && o.outcome == ProofOutcome::TestExists
+                && SatProver::new(&netlist, &ConstraintSet::full_scan(), 1)
+                    .unwrap()
+                    .prove(fault)
+                    == SatVerdict::Aborted
+        })
+        .count();
+    assert!(converted > 0, "the fixture converts no abort");
+    assert!(reference.sat.pool_hits > 0 && reference.sat.pool_tests > 0);
+    for threads in [2, 4] {
+        let run = campaign(
+            &netlist,
+            &faults,
+            &pooled_config(threads),
+            &Budget::unlimited(),
+            None,
+        );
+        assert_eq!(run.outcomes, reference.outcomes, "{threads} threads");
+        assert_eq!(run.sat.pool_hits, reference.sat.pool_hits);
+        assert_eq!(run.sat.pool_tests, reference.sat.pool_tests);
+    }
+}
+
+/// The campaign is the sequential pool rule: PODEM, then one
+/// `SatProver::prove` per abort in schedule order, under any thread count.
+#[test]
+fn campaign_reproduces_the_sequential_pool_rule() {
+    let netlist = build_circuit(60);
+    let constraints = ConstraintSet::full_scan();
+    let faults = universe(&netlist);
+    let mut podem = Podem::new(
+        &netlist,
+        &constraints,
+        PodemConfig {
+            backtrack_limit: 0,
+            cone_clip: true,
+            scoap_guidance: true,
+            x_path_check: true,
+        },
+    )
+    .unwrap();
+    let mut sat = SatProver::new(&netlist, &constraints, 1).unwrap();
+    let sequential: Vec<EngineOutcome> = faults
+        .iter()
+        .map(|&fault| match podem.prove(fault) {
+            ProofOutcome::Aborted => match sat.prove(fault) {
+                SatVerdict::TestExists => {
+                    EngineOutcome::concluded(ProofOutcome::TestExists, ProofEngine::Sat)
+                }
+                SatVerdict::ProvenUntestable => {
+                    EngineOutcome::concluded(ProofOutcome::ProvenUntestable, ProofEngine::Sat)
+                }
+                SatVerdict::Aborted => {
+                    EngineOutcome::aborted(ProofEngine::Sat, sat.last_abort_reason().unwrap())
+                }
+                SatVerdict::Unsupported => {
+                    EngineOutcome::aborted(ProofEngine::Podem, AbortReason::Unsupported)
+                }
+            },
+            concluded => EngineOutcome::concluded(concluded, ProofEngine::Podem),
+        })
+        .collect();
+    assert!(sat.counters().pool_hits > 0);
+    for threads in [1, 2, 4] {
+        let run = campaign(
+            &netlist,
+            &faults,
+            &ProofConfig {
+                use_collapse: false,
+                ..pooled_config(threads)
+            },
+            &Budget::unlimited(),
+            None,
+        );
+        assert_eq!(run.outcomes, sequential, "{threads} threads");
+        assert_eq!(run.sat.pool_hits, sat.counters().pool_hits);
+        assert_eq!(run.sat.pool_tests, sat.counters().pool_tests);
+    }
+}
+
+/// An interrupted campaign whose checkpoint holds pooled models resumes
+/// bit-identically: the resumed run re-commits the identical pool, so every
+/// pool-converted abort converts again.
+#[test]
+fn pooled_campaign_resumes_bit_identical_from_checkpoint() {
+    let netlist = build_circuit(60);
+    let constraints = ConstraintSet::full_scan();
+    let faults = universe(&netlist);
+    for threads in [1, 2] {
+        let config = pooled_config(threads);
+        let reference = campaign(&netlist, &faults, &config, &Budget::unlimited(), None);
+        let path = TempCheckpoint::new(&format!("pool-resume-{threads}"));
+        let fingerprint = campaign_fingerprint(&netlist, &constraints, &config);
+        {
+            let token = CancelToken::new();
+            let checkpoint = Checkpoint::create_or_resume(&path.0, fingerprint).unwrap();
+            let canceller = {
+                let token = token.clone();
+                std::thread::spawn(move || {
+                    std::thread::sleep(Duration::from_millis(50));
+                    token.cancel();
+                })
+            };
+            let interrupted = campaign(
+                &netlist,
+                &faults,
+                &ProofConfig {
+                    failure_plan: Some(FailurePlan {
+                        stall_on: Some(faults.len() * 2 / 3),
+                        ..FailurePlan::default()
+                    }),
+                    ..config
+                },
+                &Budget::unlimited().with_cancel(token),
+                Some(&checkpoint),
+            );
+            canceller.join().unwrap();
+            assert!(EngineBreakdown::from_outcomes(&interrupted.outcomes).deadline_hit());
+        }
+        let journal = std::fs::read_to_string(&path.0).unwrap();
+        assert!(
+            journal.lines().any(|l| l.contains(" model ")),
+            "no pooled model was checkpointed ({threads} threads)"
+        );
+        let checkpoint = Checkpoint::create_or_resume(&path.0, fingerprint).unwrap();
+        let resumed = campaign(
+            &netlist,
+            &faults,
+            &config,
+            &Budget::unlimited(),
+            Some(&checkpoint),
+        );
+        assert!(resumed.from_checkpoint > 0);
+        assert_eq!(resumed.outcomes, reference.outcomes, "{threads} threads");
+        assert_eq!(resumed.sat.pool_tests, reference.sat.pool_tests);
+    }
+}
+
+/// A checkpointed model naming a net the design does not have is not
+/// trusted: its fault is re-proven, which recreates the real model.
+#[test]
+fn a_damaged_checkpointed_model_is_re_proven() {
+    let netlist = build_circuit(60);
+    let constraints = ConstraintSet::full_scan();
+    let faults = universe(&netlist);
+    let config = pooled_config(1);
+    let reference = campaign(&netlist, &faults, &config, &Budget::unlimited(), None);
+    let (index, fault) = faults
+        .iter()
+        .enumerate()
+        .find(|&(i, _)| reference.outcomes[i].engine == ProofEngine::Sat)
+        .map(|(i, &f)| (i, f))
+        .unwrap();
+    let faulty_site = match fault.site {
+        faultmodel::FaultSite::CellOutput { cell } => format!("o {} -", cell.index()),
+        faultmodel::FaultSite::CellInput { cell, pin } => format!("i {} {pin}", cell.index()),
+    };
+    let path = TempCheckpoint::new("damaged-model");
+    let fingerprint = campaign_fingerprint(&netlist, &constraints, &config);
+    std::fs::write(
+        &path.0,
+        format!(
+            "untestable-checkpoint v1\nfingerprint {fingerprint:016x}\n\
+             fault {faulty_site} {} sat test-exists model +{} end\n",
+            u8::from(fault.value),
+            netlist.num_nets()
+        ),
+    )
+    .unwrap();
+    let checkpoint = Checkpoint::create_or_resume(&path.0, fingerprint).unwrap();
+    assert_eq!(checkpoint.loaded(), 1, "fault index {index}");
+    let resumed = campaign(
+        &netlist,
+        &faults,
+        &config,
+        &Budget::unlimited(),
+        Some(&checkpoint),
+    );
+    assert_eq!(resumed.from_checkpoint, 0);
+    assert_eq!(resumed.outcomes, reference.outcomes);
 }

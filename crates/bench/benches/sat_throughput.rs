@@ -51,10 +51,12 @@ fn sat_throughput(c: &mut Criterion) {
         sat.ms_per_concluded_fault()
     );
     println!(
-        "SAT search (slice)      : {} conflicts, {:.0} conflicts/s, {} abort-memo hits",
+        "SAT search (slice)      : {} conflicts, {:.0} conflicts/s, {} abort-memo hits, \
+         {} test-pool hits",
         sat.conflicts,
         sat.conflicts_per_s(),
-        sat.memo_hits
+        sat.memo_hits,
+        sat.pool_hits
     );
 
     let mut group = c.benchmark_group("sat_throughput");

@@ -278,6 +278,7 @@ impl ProofCampaign {
             unresolved,
             conflicts: counters.conflicts,
             memo_hits: counters.memo_hits,
+            pool_hits: counters.pool_hits,
         }
     }
 
@@ -327,6 +328,8 @@ pub struct SatStageResult {
     pub conflicts: u64,
     /// Solves skipped by the prover's abort memo.
     pub memo_hits: u64,
+    /// Escalations a pooled earlier model concluded without a solve.
+    pub pool_hits: u64,
 }
 
 impl SatStageResult {

@@ -27,7 +27,7 @@ fn synth_c432_campaign_fingerprint_is_pinned() {
     let fingerprint = IdentificationFlow::new(FlowConfig::full_pipeline())
         .campaign_fingerprint(&synth_c432())
         .unwrap();
-    assert_eq!(format!("{fingerprint:016x}"), "9d7e91e4b45d808f");
+    assert_eq!(format!("{fingerprint:016x}"), "b27423e468240fc6");
 }
 
 #[test]
