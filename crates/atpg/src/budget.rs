@@ -7,9 +7,9 @@
 //! wedging the whole run. The engines never kill threads — they poll. A
 //! [`Budget`] carries an optional shared [`CancelToken`], an optional
 //! whole-stage deadline and an optional per-fault wall-clock limit; the
-//! PODEM backtrack loop, the CDCL restart loop and the fault-simulation
-//! chunk fan-out all check it at their natural backoff points, so
-//! cancellation latency is bounded by one search step, never by one fault.
+//! PODEM backtrack loop and the CDCL restart loop both check it at their
+//! natural backoff points, so cancellation latency is bounded by one search
+//! step, never by one fault.
 //!
 //! Every abort records *why* it happened ([`AbortReason`]), which the
 //! breakdown reporting and the checkpoint format both preserve: a

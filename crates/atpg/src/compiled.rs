@@ -1,20 +1,22 @@
 //! One-time compilation of a levelized netlist into a flat, allocation-free
 //! simulation program shared by the scalar three-valued simulator
-//! ([`CombSim`](crate::sim::CombSim)) and the packed parallel-fault simulator
-//! ([`FaultSim`](crate::fault_sim::FaultSim)).
+//! ([`CombSim`](crate::sim::CombSim)) and the differential parallel-fault
+//! simulator ([`FaultSim`](crate::fault_sim::FaultSim)).
 //!
-//! The interpreters this module replaces walked `HashMap`-keyed structures on
-//! every simulated cycle: flop state keyed by `CellId`, fault injection keyed
-//! by `NetId`/`CellId`, input vectors looked up per primary input per cycle,
-//! and a fresh value array (plus one `Vec` per cell) allocated per
-//! propagation. The compiled form is struct-of-arrays instead — one opcode
-//! per combinational cell in topological order, an offset/len window into a
-//! single flat `Vec<u32>` of input-net indices, a dense output-net index per
-//! cell, and dense tie/flop/output tables — in the style of classical
-//! bit-parallel (PPSFP) fault-simulation engines. Per-run state lives in
-//! reusable [`PackedScratch`]/[`SimScratch`] buffers densely indexed by
-//! `NetId::index()` / flop-table position, so the per-cycle hot path touches
-//! no hash map and performs no allocation.
+//! The compiled form is struct-of-arrays: one opcode per combinational cell
+//! in topological order, an offset/len window into a single flat `Vec<u32>`
+//! of input-net indices, a dense output-net index per cell, and dense
+//! tie/flop/output tables. Per-run state lives in reusable buffers densely
+//! indexed by `NetId::index()` / flop-table position, so no hot path touches
+//! a hash map or allocates.
+//!
+//! For packed (64 machines per `u64`) simulation the module provides the
+//! pieces the fault simulator is assembled from: the good-machine evaluator
+//! [`CompiledProgram::run_cycle`] and the per-batch bit trace of every net it
+//! records, the shared gate and flip-flop kernels, net→reader fanout tables,
+//! and [`PackedInjection`], the dense per-chunk fault tables together with
+//! the lists of gates, flops, source nets and outputs a chunk's faults sit
+//! on.
 
 use crate::fault_sim::InputVector;
 use crate::logic::Logic;
@@ -88,7 +90,7 @@ struct Flop {
 /// densely indexed tables, ready for repeated allocation-free evaluation.
 ///
 /// Build one with [`CompiledProgram::compile`]; per-run mutable state lives
-/// in a [`PackedScratch`] (packed 64-machine simulation) or [`SimScratch`]
+/// in a [`PackedScratch`] (packed good-machine simulation) or [`SimScratch`]
 /// (scalar three-valued propagation) owned by the caller, so one program can
 /// serve many concurrent workers.
 #[derive(Clone, Debug)]
@@ -112,6 +114,10 @@ pub struct CompiledProgram {
     tie_nets: Vec<(u32, bool)>,
     /// Flip-flop table.
     flops: Vec<Flop>,
+    /// Per cell arena index: the compiled gate index of a gate cell, the
+    /// flop-table position of a flip-flop, `0` for a live primary input or
+    /// tie (they drive a simulated source net), `NO_INDEX` otherwise.
+    unit_by_cell: Vec<u32>,
 }
 
 impl CompiledProgram {
@@ -146,6 +152,7 @@ impl CompiledProgram {
             pi_nets: Vec::new(),
             tie_nets: Vec::new(),
             flops: Vec::new(),
+            unit_by_cell: vec![NO_INDEX; cells.len()],
         };
 
         for &cell_id in &lev.order {
@@ -157,6 +164,7 @@ impl CompiledProgram {
             program
                 .op
                 .push(Op::from_kind(cell.kind()).expect("levelized cells are combinational"));
+            program.unit_by_cell[cell_id.index()] = program.op.len() as u32 - 1;
             program.gate_cell.push(cell_id.index() as u32);
             program.out.push(out_net.index() as u32);
             program
@@ -173,6 +181,7 @@ impl CompiledProgram {
                 CellKind::Input => {
                     if let Some(out) = cell.output() {
                         program.pi_nets.push(out.index() as u32);
+                        program.unit_by_cell[i] = 0;
                     }
                 }
                 CellKind::Tie0 | CellKind::Tie1 => {
@@ -180,9 +189,11 @@ impl CompiledProgram {
                         program
                             .tie_nets
                             .push((out.index() as u32, cell.kind() == CellKind::Tie1));
+                        program.unit_by_cell[i] = 0;
                     }
                 }
                 kind @ (CellKind::Dff { .. } | CellKind::Sdff { .. }) => {
+                    program.unit_by_cell[i] = program.flops.len() as u32;
                     let start = program.cell_pin_start[i];
                     let is_scan = matches!(kind, CellKind::Sdff { .. });
                     program.flops.push(Flop {
@@ -238,7 +249,7 @@ impl CompiledProgram {
     // Packed (64 machines per word) simulation
     // ------------------------------------------------------------------
 
-    /// Creates the reusable per-worker buffers for packed simulation.
+    /// Creates the reusable buffers for good-machine packed simulation.
     pub fn packed_scratch(&self) -> PackedScratch {
         PackedScratch {
             nets: vec![0; self.num_nets],
@@ -256,6 +267,11 @@ impl CompiledProgram {
             touched_nets: Vec::new(),
             touched_pins: Vec::new(),
             fault_bits: 0,
+            gates: Vec::new(),
+            gate_flags: vec![0; self.op.len().div_ceil(64)],
+            flops: Vec::new(),
+            sources: Vec::new(),
+            outputs: Vec::new(),
         }
     }
 
@@ -282,111 +298,152 @@ impl CompiledProgram {
         }
     }
 
-    /// Simulates one clock cycle of up to 64 packed machines: applies the
-    /// cycle's primary-input bits, tie constants and flop state, propagates
-    /// the gate program in topological order and captures the next state.
-    /// Touches only `scratch`; allocates nothing.
-    pub fn run_cycle(
-        &self,
-        vectors: &PackedVectors,
-        cycle: usize,
-        injection: &PackedInjection,
-        scratch: &mut PackedScratch,
-    ) {
+    /// Simulates one clock cycle of the good machine (broadcast to every bit
+    /// of the packed words): applies the cycle's primary-input bits, tie
+    /// constants and flop state, propagates the whole gate program in
+    /// topological order and captures the next state. Touches only
+    /// `scratch`; allocates nothing.
+    pub fn run_cycle(&self, vectors: &PackedVectors, cycle: usize, scratch: &mut PackedScratch) {
         let PackedScratch { nets, state } = scratch;
-
-        // Sources: primary inputs, ties, flip-flop outputs.
         for (k, &net) in self.pi_nets.iter().enumerate() {
-            let n = net as usize;
-            let v = if vectors.bit(cycle, k) { !0u64 } else { 0 };
-            nets[n] = (v & !injection.net_mask[n]) | injection.net_stuck[n];
+            nets[net as usize] = broadcast(vectors.bit(cycle, k));
         }
         for &(net, value) in &self.tie_nets {
-            let n = net as usize;
-            let v = if value { !0u64 } else { 0 };
-            nets[n] = (v & !injection.net_mask[n]) | injection.net_stuck[n];
+            nets[net as usize] = broadcast(value);
         }
         for (fi, flop) in self.flops.iter().enumerate() {
             if flop.q != NO_INDEX {
-                let n = flop.q as usize;
-                nets[n] = (state[fi] & !injection.net_mask[n]) | injection.net_stuck[n];
+                nets[flop.q as usize] = state[fi];
             }
         }
-
-        // Combinational propagation in topological order.
         for g in 0..self.op.len() {
-            let start = self.in_start[g] as usize;
-            let len = self.in_len[g] as usize;
-            let value = {
-                let nets = &*nets;
-                let read = |k: usize| -> u64 {
-                    let slot = start + k;
-                    (nets[self.pins[slot] as usize] & !injection.pin_mask[slot])
-                        | injection.pin_stuck[slot]
-                };
-                match self.op[g] {
-                    Op::Buf => read(0),
-                    Op::Not => !read(0),
-                    Op::And => (0..len).fold(!0u64, |acc, k| acc & read(k)),
-                    Op::Nand => !(0..len).fold(!0u64, |acc, k| acc & read(k)),
-                    Op::Or => (0..len).fold(0u64, |acc, k| acc | read(k)),
-                    Op::Nor => !(0..len).fold(0u64, |acc, k| acc | read(k)),
-                    Op::Xor => (0..len).fold(0u64, |acc, k| acc ^ read(k)),
-                    Op::Xnor => !(0..len).fold(0u64, |acc, k| acc ^ read(k)),
-                    Op::Mux2 => {
-                        let select = read(2);
-                        (read(0) & !select) | (read(1) & select)
-                    }
-                }
-            };
-            let out = self.out[g] as usize;
-            nets[out] = (value & !injection.net_mask[out]) | injection.net_stuck[out];
+            let value = self.eval_packed(g, |slot| nets[self.pins[slot] as usize]);
+            nets[self.out[g] as usize] = value;
         }
-
-        // Next-state capture. The loop reads only `nets` (state was consumed
-        // by the source phase above), so captures commit in place.
-        for (fi, flop) in self.flops.iter().enumerate() {
-            let read = |slot: u32| -> u64 {
-                let s = slot as usize;
-                (nets[self.pins[s] as usize] & !injection.pin_mask[s]) | injection.pin_stuck[s]
-            };
-            let mut data = if flop.si_slot != NO_INDEX {
-                let d = read(flop.d_slot);
-                let si = read(flop.si_slot);
-                let se = read(flop.se_slot);
-                (d & !se) | (si & se)
-            } else {
-                read(flop.d_slot)
-            };
-            if flop.rst_slot != NO_INDEX {
-                let rst = read(flop.rst_slot);
-                let active = if flop.rst_active_high { rst } else { !rst };
-                data &= !active;
-            }
-            // A stuck output pin also pins the stored state.
-            if flop.q != NO_INDEX {
-                let n = flop.q as usize;
-                data = (data & !injection.net_mask[n]) | injection.net_stuck[n];
-            }
-            state[fi] = data;
+        // The capture reads only `nets` (state was consumed above), so it
+        // commits in place.
+        for (fi, next) in state.iter_mut().enumerate() {
+            *next = self.capture_flop(fi, |slot| nets[self.pins[slot] as usize]);
         }
     }
 
-    /// The packed value observed at an `Output` pseudo-cell, including any
-    /// injected fault on the output's own input pin — the single place both
-    /// the good-machine response extraction and the detection loop read
-    /// primary outputs.
-    pub fn observe_output(
-        &self,
-        scratch: &PackedScratch,
-        injection: &PackedInjection,
-        output: CellId,
-    ) -> u64 {
+    /// The packed value observed at an `Output` pseudo-cell after
+    /// [`run_cycle`](Self::run_cycle).
+    pub fn observe_output(&self, scratch: &PackedScratch, output: CellId) -> u64 {
         let slot = self.cell_pin_start[output.index()];
         debug_assert_ne!(slot, NO_INDEX, "observed cell has no input pin");
-        let slot = slot as usize;
-        (scratch.nets[self.pins[slot] as usize] & !injection.pin_mask[slot])
-            | injection.pin_stuck[slot]
+        scratch.nets[self.pins[slot as usize] as usize]
+    }
+
+    /// Runs the good machine over every cycle of `vectors` from the all-zero
+    /// reset state and records the value of every net in every cycle, one
+    /// bit each — the reference the differential fault simulator reads for
+    /// every net where a faulty machine does not diverge.
+    pub(crate) fn good_trace(&self, vectors: &PackedVectors) -> GoodTrace {
+        let words = self.num_nets.div_ceil(64).max(1);
+        let mut bits = vec![0u64; words * vectors.cycles()];
+        let mut scratch = self.packed_scratch();
+        for (cycle, row) in bits.chunks_exact_mut(words).enumerate() {
+            self.run_cycle(vectors, cycle, &mut scratch);
+            for (n, &value) in scratch.nets.iter().enumerate() {
+                row[n / 64] |= (value & 1) << (n % 64);
+            }
+        }
+        GoodTrace { words, bits }
+    }
+
+    /// Builds the net→reader tables of the program: the compiled gates
+    /// reading each net, and the flip-flops reading it at a data, scan or
+    /// reset pin (clock pins are not simulated; flops without an output net
+    /// are unobservable and left out).
+    pub(crate) fn fanout(&self) -> Fanout {
+        let mut gate_edges: Vec<(u32, u32)> = Vec::new();
+        for g in 0..self.op.len() {
+            let start = self.in_start[g] as usize;
+            for &net in &self.pins[start..start + self.in_len[g] as usize] {
+                gate_edges.push((net, g as u32));
+            }
+        }
+        let mut flop_edges: Vec<(u32, u32)> = Vec::new();
+        for (fi, flop) in self.flops.iter().enumerate() {
+            if flop.q == NO_INDEX {
+                continue;
+            }
+            for slot in [flop.d_slot, flop.si_slot, flop.se_slot, flop.rst_slot] {
+                if slot != NO_INDEX {
+                    flop_edges.push((self.pins[slot as usize], fi as u32));
+                }
+            }
+        }
+        let (gate_start, gates) = csr(self.num_nets, gate_edges);
+        let (flop_start, flops) = csr(self.num_nets, flop_edges);
+        Fanout {
+            gate_start,
+            gates,
+            flop_start,
+            flops,
+        }
+    }
+
+    /// Evaluates compiled gate `g` over packed words, reading input pin `k`
+    /// as `read(in_start + k)` (a flat pin slot) — the one packed gate
+    /// kernel of the good machine and the differential fault simulator.
+    #[inline(always)]
+    pub(crate) fn eval_packed(&self, g: usize, read: impl Fn(usize) -> u64) -> u64 {
+        let start = self.in_start[g] as usize;
+        let len = self.in_len[g] as usize;
+        let pin = |k: usize| read(start + k);
+        match self.op[g] {
+            Op::Buf => pin(0),
+            Op::Not => !pin(0),
+            Op::And => (0..len).fold(!0u64, |acc, k| acc & pin(k)),
+            Op::Nand => !(0..len).fold(!0u64, |acc, k| acc & pin(k)),
+            Op::Or => (0..len).fold(0u64, |acc, k| acc | pin(k)),
+            Op::Nor => !(0..len).fold(0u64, |acc, k| acc | pin(k)),
+            Op::Xor => (0..len).fold(0u64, |acc, k| acc ^ pin(k)),
+            Op::Xnor => !(0..len).fold(0u64, |acc, k| acc ^ pin(k)),
+            Op::Mux2 => {
+                let select = pin(2);
+                (pin(0) & !select) | (pin(1) & select)
+            }
+        }
+    }
+
+    /// The packed next state of flop-table position `fi`: `D`, or the
+    /// `SE`-selected `SI` of a scan flop, cleared where the reset pin is
+    /// active. `read` maps a flat pin slot to its packed value.
+    #[inline(always)]
+    pub(crate) fn capture_flop(&self, fi: usize, read: impl Fn(usize) -> u64) -> u64 {
+        let flop = &self.flops[fi];
+        let mut data = read(flop.d_slot as usize);
+        if flop.si_slot != NO_INDEX {
+            let si = read(flop.si_slot as usize);
+            let se = read(flop.se_slot as usize);
+            data = (data & !se) | (si & se);
+        }
+        if flop.rst_slot != NO_INDEX {
+            let rst = read(flop.rst_slot as usize);
+            data &= if flop.rst_active_high { !rst } else { rst };
+        }
+        data
+    }
+
+    /// The output net of flop-table position `fi` (`NO_INDEX` when the
+    /// flop's driver was detached).
+    #[inline]
+    pub(crate) fn flop_q(&self, fi: usize) -> u32 {
+        self.flops[fi].q
+    }
+
+    /// Number of entries in the flip-flop table.
+    pub(crate) fn num_flops(&self) -> usize {
+        self.flops.len()
+    }
+
+    /// The net read by flat pin slot `slot`.
+    #[inline]
+    pub(crate) fn pin_net(&self, slot: usize) -> usize {
+        self.pins[slot] as usize
     }
 
     // ------------------------------------------------------------------
@@ -623,26 +680,97 @@ fn decompose_fault(fault: Option<StuckAt>) -> (u32, u32, Logic, bool) {
     }
 }
 
-/// Reusable per-worker buffers for packed simulation: net values indexed by
-/// `NetId::index()` and flop state indexed by flop-table position.
+/// Reusable buffers for good-machine packed simulation: net values indexed
+/// by `NetId::index()` and flop state indexed by flop-table position, both
+/// starting at the all-zero reset value. Nets nothing drives are never
+/// written and stay 0.
 #[derive(Clone, Debug)]
 pub struct PackedScratch {
     nets: Vec<u64>,
     state: Vec<u64>,
 }
 
-impl PackedScratch {
-    /// Resets the sequential state to the all-zero reset value (net values
-    /// need no reset: every driven net is rewritten each cycle and floating
-    /// nets are never written, staying at their initial 0).
-    pub fn reset(&mut self) {
-        self.state.fill(0);
+/// A packed word holding `value` in every machine.
+#[inline(always)]
+pub(crate) fn broadcast(value: bool) -> u64 {
+    0u64.wrapping_sub(u64::from(value))
+}
+
+/// The good machine's value of every net in every cycle of one vector
+/// sequence, one bit per net per cycle (see
+/// [`CompiledProgram::good_trace`]).
+#[derive(Debug)]
+pub(crate) struct GoodTrace {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl GoodTrace {
+    /// Number of recorded cycles.
+    pub(crate) fn cycles(&self) -> usize {
+        self.bits.len() / self.words
+    }
+
+    /// The net-indexed bit row of `cycle`; read it with [`good_word`].
+    #[inline]
+    pub(crate) fn cycle(&self, cycle: usize) -> &[u64] {
+        &self.bits[cycle * self.words..(cycle + 1) * self.words]
     }
 }
 
+/// The good value of net `n` in a [`GoodTrace::cycle`] row, broadcast to
+/// every machine of a packed word.
+#[inline(always)]
+pub(crate) fn good_word(row: &[u64], n: usize) -> u64 {
+    broadcast(row[n / 64] >> (n % 64) & 1 == 1)
+}
+
+/// Net→reader tables in compressed-sparse-row form (see
+/// [`CompiledProgram::fanout`]).
+#[derive(Debug)]
+pub(crate) struct Fanout {
+    gate_start: Vec<u32>,
+    gates: Vec<u32>,
+    flop_start: Vec<u32>,
+    flops: Vec<u32>,
+}
+
+impl Fanout {
+    /// The compiled gates reading net `n`, ascending.
+    #[inline]
+    pub(crate) fn gates_of(&self, n: usize) -> &[u32] {
+        &self.gates[self.gate_start[n] as usize..self.gate_start[n + 1] as usize]
+    }
+
+    /// The flop-table positions reading net `n` at a data, scan or reset
+    /// pin.
+    #[inline]
+    pub(crate) fn flops_of(&self, n: usize) -> &[u32] {
+        &self.flops[self.flop_start[n] as usize..self.flop_start[n + 1] as usize]
+    }
+}
+
+/// Groups `(net, reader)` edges by net: returns the `num_nets + 1` row
+/// offsets and the readers, ascending and deduplicated within each row.
+fn csr(num_nets: usize, mut edges: Vec<(u32, u32)>) -> (Vec<u32>, Vec<u32>) {
+    edges.sort_unstable();
+    edges.dedup();
+    let mut start = vec![0u32; num_nets + 1];
+    for &(net, _) in &edges {
+        start[net as usize + 1] += 1;
+    }
+    for n in 0..num_nets {
+        start[n + 1] += start[n];
+    }
+    (start, edges.into_iter().map(|(_, reader)| reader).collect())
+}
+
 /// Dense per-chunk fault-injection tables: one mask/stuck word per net and
-/// per flat pin slot. Loading a chunk touches only the faulty entries and
-/// remembers them, so re-loading is O(chunk), not O(design).
+/// per flat pin slot, plus the lists of the places a chunk's faults sit —
+/// the gates, flops, source nets and outputs the differential simulator
+/// must visit every cycle even where no input diverges. Loading a chunk
+/// touches only the faulty entries and remembers them, so re-loading is
+/// O(chunk), not O(design).
 #[derive(Clone, Debug)]
 pub struct PackedInjection {
     net_mask: Vec<u64>,
@@ -652,6 +780,16 @@ pub struct PackedInjection {
     touched_nets: Vec<u32>,
     touched_pins: Vec<u32>,
     fault_bits: u64,
+    /// Compiled gates with a faulty input pin or output.
+    gates: Vec<u32>,
+    /// `gates` as a bitmap over compiled gate indices.
+    gate_flags: Vec<u64>,
+    /// Flop-table positions with a faulty pin or output.
+    flops: Vec<u32>,
+    /// Faulty nets driven by a primary input, tie or flip-flop.
+    sources: Vec<u32>,
+    /// `Output` pseudo-cells with a faulty pin, with that pin's flat slot.
+    outputs: Vec<(CellId, u32)>,
 }
 
 impl PackedInjection {
@@ -662,7 +800,8 @@ impl PackedInjection {
 
     /// Loads a chunk of up to 63 faults, clearing the previous chunk first.
     /// Fault `i` of the chunk occupies bit `i + 1`; bit 0 stays the good
-    /// machine.
+    /// machine. A fault on a net or pin the program never simulates (a
+    /// detached driver, an out-of-range pin) is dropped.
     ///
     /// # Panics
     ///
@@ -683,6 +822,13 @@ impl PackedInjection {
         }
         self.touched_nets.clear();
         self.touched_pins.clear();
+        for &g in &self.gates {
+            self.gate_flags[g as usize / 64] = 0;
+        }
+        self.gates.clear();
+        self.flops.clear();
+        self.sources.clear();
+        self.outputs.clear();
         self.fault_bits = 0;
 
         for (i, fault) in chunk.into_iter().enumerate() {
@@ -690,24 +836,99 @@ impl PackedInjection {
             let bit = 1u64 << (i + 1);
             self.fault_bits |= bit;
             let stuck = if fault.value { bit } else { 0 };
+            let cell = match fault.site {
+                FaultSite::CellOutput { cell } | FaultSite::CellInput { cell, .. } => cell,
+            };
+            let kind = netlist.cell(cell).kind();
+            let unit = program.unit_by_cell[cell.index()];
+            let simulated = match kind {
+                CellKind::Output => true,
+                _ if unit == NO_INDEX => false,
+                _ if kind.is_sequential() => program.flops[unit as usize].q != NO_INDEX,
+                _ => true,
+            };
+            if !simulated {
+                continue;
+            }
             match fault.site {
-                FaultSite::CellOutput { cell } => {
-                    if let Some(net) = netlist.output_net(cell) {
-                        let n = net.index();
-                        self.net_mask[n] |= bit;
-                        self.net_stuck[n] |= stuck;
-                        self.touched_nets.push(n as u32);
+                FaultSite::CellOutput { .. } => {
+                    let Some(net) = netlist.output_net(cell) else {
+                        continue;
+                    };
+                    let n = net.index();
+                    self.net_mask[n] |= bit;
+                    self.net_stuck[n] |= stuck;
+                    self.touched_nets.push(n as u32);
+                    match kind {
+                        _ if kind.is_combinational() => self.gates.push(unit),
+                        _ if kind.is_sequential() => {
+                            self.flops.push(unit);
+                            self.sources.push(n as u32);
+                        }
+                        _ => self.sources.push(n as u32),
                     }
                 }
-                FaultSite::CellInput { cell, pin } => {
-                    if let Some(slot) = program.pin_slot(netlist, cell, pin) {
-                        self.pin_mask[slot] |= bit;
-                        self.pin_stuck[slot] |= stuck;
-                        self.touched_pins.push(slot as u32);
+                FaultSite::CellInput { pin, .. } => {
+                    let Some(slot) = program.pin_slot(netlist, cell, pin) else {
+                        continue;
+                    };
+                    self.pin_mask[slot] |= bit;
+                    self.pin_stuck[slot] |= stuck;
+                    self.touched_pins.push(slot as u32);
+                    match kind {
+                        CellKind::Output => self.outputs.push((cell, slot as u32)),
+                        _ if kind.is_sequential() => self.flops.push(unit),
+                        _ => self.gates.push(unit),
                     }
                 }
             }
         }
+        for list in [&mut self.gates, &mut self.flops, &mut self.sources] {
+            list.sort_unstable();
+            list.dedup();
+        }
+        for &g in &self.gates {
+            self.gate_flags[g as usize / 64] |= 1u64 << (g % 64);
+        }
+    }
+
+    /// `value` of net `n` with the chunk's output faults on `n` applied.
+    #[inline(always)]
+    pub(crate) fn apply_net(&self, n: usize, value: u64) -> u64 {
+        (value & !self.net_mask[n]) | self.net_stuck[n]
+    }
+
+    /// `value` read at flat pin slot `slot` with the chunk's pin faults on
+    /// it applied.
+    #[inline(always)]
+    pub(crate) fn apply_pin(&self, slot: usize, value: u64) -> u64 {
+        (value & !self.pin_mask[slot]) | self.pin_stuck[slot]
+    }
+
+    /// Compiled gates carrying a fault, ascending.
+    pub(crate) fn gates(&self) -> &[u32] {
+        &self.gates
+    }
+
+    /// Does compiled gate `g` carry a fault of the chunk?
+    #[inline(always)]
+    pub(crate) fn is_faulty_gate(&self, g: usize) -> bool {
+        self.gate_flags[g / 64] >> (g % 64) & 1 == 1
+    }
+
+    /// Flop-table positions carrying a fault.
+    pub(crate) fn flops(&self) -> &[u32] {
+        &self.flops
+    }
+
+    /// Faulty source nets (primary inputs, ties, flip-flop outputs).
+    pub(crate) fn sources(&self) -> &[u32] {
+        &self.sources
+    }
+
+    /// `Output` pseudo-cells with a faulty pin, with the pin's flat slot.
+    pub(crate) fn outputs(&self) -> &[(CellId, u32)] {
+        &self.outputs
     }
 }
 
@@ -778,13 +999,16 @@ mod tests {
             vector(&[(a, true), (c, true)]),
             vector(&[(a, true), (c, false)]),
         ]);
-        let injection = program.packed_injection();
         let mut scratch = program.packed_scratch();
         let po = n.primary_outputs()[0];
-        program.run_cycle(&packed, 0, &injection, &mut scratch);
-        assert_eq!(program.observe_output(&scratch, &injection, po) & 1, 1);
-        program.run_cycle(&packed, 1, &injection, &mut scratch);
-        assert_eq!(program.observe_output(&scratch, &injection, po) & 1, 0);
+        program.run_cycle(&packed, 0, &mut scratch);
+        assert_eq!(program.observe_output(&scratch, po), !0);
+        program.run_cycle(&packed, 1, &mut scratch);
+        assert_eq!(program.observe_output(&scratch, po), 0);
+        let trace = program.good_trace(&packed);
+        assert_eq!(trace.cycles(), 2);
+        assert_eq!(good_word(trace.cycle(0), y.index()), !0);
+        assert_eq!(good_word(trace.cycle(1), y.index()), 0);
     }
 
     #[test]

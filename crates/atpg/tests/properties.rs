@@ -13,7 +13,7 @@ use atpg::{
     SatVerdict, SeqSim,
 };
 use faultmodel::{collapse, FaultClass, FaultList, StuckAt};
-use netlist::{NetId, Netlist, NetlistBuilder};
+use netlist::{CellKind, NetId, Netlist, NetlistBuilder, Reset};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -89,6 +89,93 @@ fn build_seq_circuit(spec: &[u8]) -> (Netlist, Vec<NetId>, NetId) {
         signals.push(g);
     }
     let outputs: Vec<NetId> = signals.iter().rev().take(3).copied().collect();
+    for (i, &net) in outputs.iter().enumerate() {
+        b.output(format!("out{i}"), net);
+    }
+    (b.finish(), inputs, ck)
+}
+
+/// Builds a small sequential circuit over every cell kind the packed
+/// simulator handles: TIE0/TIE1 sources, BUF/NOT, MUX2, 2- to 4-input
+/// AND/NAND/OR/NOR/XOR/XNOR, and flip-flops of every flavour — plain `Dff`,
+/// `Dff` with an active-high or active-low reset, `Sdff` with and without a
+/// reset — some of them closing feedback loops through their own state.
+/// Each three-byte group of `spec` adds one gate and, by its third byte,
+/// registers it (scan, reset and feedback variants included). Returns the
+/// netlist, its data inputs and the clock.
+fn build_rich_seq_circuit(spec: &[u8]) -> (Netlist, Vec<NetId>, NetId) {
+    let mut b = NetlistBuilder::new("richseq");
+    let ck = b.input("ck");
+    let inputs: Vec<NetId> = (0..5).map(|i| b.input(format!("in{i}"))).collect();
+    let mut signals = inputs.clone();
+    let tie0 = b.tie0();
+    let tie1 = b.tie1();
+    signals.extend([tie0, tie1]);
+    let mut flops = Vec::new();
+    // Flop data nets driven, once every gate exists, by a later signal.
+    let mut feedback = Vec::new();
+    for (i, group) in spec.chunks_exact(3).enumerate() {
+        let (code, pick, reg) = (group[0] as usize, group[1] as usize, group[2]);
+        let net = |k: usize| signals[(pick * (k + 1) + code / (k + 1) + i) % signals.len()];
+        let ins: Vec<NetId> = (0..4).map(net).collect();
+        let width = 2 + (code / 11) % 3;
+        let nary = |b: &mut NetlistBuilder, kind: CellKind, ins: &[NetId]| {
+            let out = b.netlist_mut().add_net(format!("g{i}"));
+            b.netlist_mut()
+                .add_cell(kind, format!("u{i}"), ins, Some(out));
+            out
+        };
+        let g = match code % 11 {
+            0 => b.buf(ins[0]),
+            1 => b.not(ins[0]),
+            2 => b.mux2(ins[0], ins[1], ins[2]),
+            3 => b.and(&ins[..width]),
+            4 => b.or(&ins[..width]),
+            5 => b.xor(&ins[..width]),
+            6 => nary(&mut b, CellKind::Nand(width as u8), &ins[..width]),
+            7 => nary(&mut b, CellKind::Nor(width as u8), &ins[..width]),
+            8 => nary(&mut b, CellKind::Xnor(width as u8), &ins[..width]),
+            9 => b.xnor2(ins[0], ins[1]),
+            _ => b.nand2(ins[0], ins[1]),
+        };
+        signals.push(g);
+        if reg % 2 == 1 {
+            continue;
+        }
+        let d = if reg % 8 == 0 {
+            let d = b.netlist_mut().add_net(format!("fb{i}"));
+            feedback.push(d);
+            d
+        } else {
+            g
+        };
+        let (si, se, rst) = (ins[1], ins[2], ins[3]);
+        let reset = [Reset::ActiveHigh, Reset::ActiveLow][usize::from(reg / 16) % 2];
+        let q = match (reg / 2) % 4 {
+            0 => b.dff(d, ck),
+            1 => b.dff_r(d, ck, rst, reset),
+            2 => b.sdff(d, si, se, ck),
+            _ => {
+                let q = b.netlist_mut().add_net(format!("q{i}"));
+                b.netlist_mut().add_cell(
+                    CellKind::Sdff { reset: Some(reset) },
+                    format!("sdffr{i}"),
+                    &[d, si, se, ck, rst],
+                    Some(q),
+                );
+                q
+            }
+        };
+        flops.push(q);
+        signals.push(q);
+    }
+    for (k, &d) in feedback.iter().enumerate() {
+        let source = signals[signals.len() - 1 - k % signals.len()];
+        b.netlist_mut()
+            .add_cell(CellKind::Buf, format!("fbuf{k}"), &[source], Some(d));
+    }
+    let mut outputs: Vec<NetId> = signals.iter().rev().take(2).copied().collect();
+    outputs.extend(flops.first());
     for (i, &net) in outputs.iter().enumerate() {
         b.output(format!("out{i}"), net);
     }
@@ -260,6 +347,43 @@ proptest! {
             .collect();
         let packed_sim = FaultSim::new(&netlist).unwrap();
         let packed = packed_sim.detect(&faults, &vectors);
+        let scalar_sim = SeqSim::new(&netlist).unwrap();
+        let good = scalar_sim.run(&logic_vectors, None);
+        for (fi, &fault) in faults.iter().enumerate() {
+            let expected = scalar_seq_detects(&scalar_sim, &good, &logic_vectors, fault);
+            prop_assert_eq!(packed[fi], expected, "fault {:?}", fault);
+        }
+    }
+
+    /// The differential packed simulator agrees fault by fault with the
+    /// scalar sequential reference on circuits with tie cells, every gate
+    /// kind and width, and scan, resettable and feedback flip-flops — over
+    /// the whole fault universe (clock, scan, reset and tie faults
+    /// included), across several 63-fault chunks.
+    #[test]
+    fn differential_sim_matches_scalar_reference_on_every_cell_kind(
+        spec in prop::collection::vec(any::<u8>(), 12..60),
+        patterns in prop::collection::vec(0u8..32, 3..9),
+    ) {
+        let (netlist, inputs, ck) = build_rich_seq_circuit(&spec);
+        let faults = FaultList::full_universe(&netlist).faults().to_vec();
+        let vectors: Vec<InputVector> = patterns
+            .iter()
+            .map(|&p| {
+                let mut v: InputVector = inputs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &net)| (net, (p >> i) & 1 == 1))
+                    .collect();
+                v.insert(ck, true);
+                v
+            })
+            .collect();
+        let logic_vectors: Vec<HashMap<NetId, Logic>> = vectors
+            .iter()
+            .map(|v| v.iter().map(|(&n, &b)| (n, Logic::from_bool(b))).collect())
+            .collect();
+        let packed = FaultSim::new(&netlist).unwrap().detect(&faults, &vectors);
         let scalar_sim = SeqSim::new(&netlist).unwrap();
         let good = scalar_sim.run(&logic_vectors, None);
         for (fi, &fault) in faults.iter().enumerate() {

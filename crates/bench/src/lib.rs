@@ -70,6 +70,10 @@ pub struct CampaignResult {
     pub detected: usize,
     /// Faults simulated.
     pub faults: usize,
+    /// Gate evaluations the faulty-machine chunks performed.
+    pub gate_evals: u64,
+    /// Chunk-cycles simulated (63-fault chunks × the cycles each ran).
+    pub chunk_cycles: u64,
 }
 
 /// Faults graded by the committed `BENCH_faultsim.json` campaign (a fixed
@@ -133,11 +137,13 @@ impl<'a> FaultsimCampaign<'a> {
         let batches: Vec<&[atpg::InputVector]> =
             self.stimuli.iter().map(|s| s.vectors.as_slice()).collect();
         let start = Instant::now();
-        let detected_mask = self.sim.detect_batches(&self.sample, &batches, &self.bus);
+        let (_, outcome) = self.sim.grade_batches(&self.sample, &batches, &self.bus);
         CampaignResult {
             wall_clock: start.elapsed(),
-            detected: detected_mask.iter().filter(|&&d| d).count(),
+            detected: outcome.detected,
             faults: self.sample.len(),
+            gate_evals: outcome.gate_evals,
+            chunk_cycles: outcome.chunk_cycles,
         }
     }
 }
